@@ -91,29 +91,37 @@ int main(int Argc, char **Argv) {
                 Net.label().c_str(), R.CompileSec, R.KeygenSec, R.InferSec,
                 R.MaxErr, R.PredictionAgrees);
 
-    // Static-verifier overhead guard: re-running the abstract interpreter
-    // over the compiled artifact must stay under 5% of compile time (the
-    // budget the post-compile pass is allowed to add). Best of three: the
-    // first call after a multi-second inference pays a one-time allocator
-    // warmup that is not the verifier's steady-state cost.
-    double VerifySec = 0;
+    // Post-compile audit budget: one audit pass over the compiled
+    // artifact (verifyCircuit is a view of it, along with the noise and
+    // footprint reports) must stay under 5% of compile time. Both sides
+    // are the best of five back-to-back runs: the first call after a
+    // multi-second inference pays a one-time allocator warmup, and one
+    // millisecond-scale compile timing swings by more than the margin.
+    double CompileSec = 0, VerifySec = 0;
     VerificationReport VR;
-    for (int Rep = 0; Rep < 3; ++Rep) {
+    for (int Rep = 0; Rep < 5; ++Rep) {
+      Timer CT;
+      compileCircuit(Circ, Options);
+      double Sec = CT.seconds();
+      if (Rep == 0 || Sec < CompileSec)
+        CompileSec = Sec;
+    }
+    for (int Rep = 0; Rep < 5; ++Rep) {
       Timer VT;
       VR = verifyCircuit(Circ, R.Compiled);
       double Sec = VT.seconds();
       if (Rep == 0 || Sec < VerifySec)
         VerifySec = Sec;
     }
-    std::printf("    verify=%.3fs (%.1f%% of compile, %zu diagnostics)\n",
-                VerifySec, 100.0 * VerifySec / R.CompileSec,
+    std::printf("    audit=%.3fs (%.1f%% of compile, %zu diagnostics)\n",
+                VerifySec, 100.0 * VerifySec / CompileSec,
                 VR.Diagnostics.size());
     std::printf("%s", VR.depthTableStr().c_str());
-    if (VerifySec >= 0.05 * R.CompileSec) {
+    if (VerifySec >= 0.05 * CompileSec) {
       std::fprintf(stderr,
-                   "FAIL: verification took %.3fs, >= 5%% of the %.3fs "
-                   "compile time\n",
-                   VerifySec, R.CompileSec);
+                   "FAIL: the post-compile audit took %.3fs, >= 5%% of the "
+                   "%.3fs compile time\n",
+                   VerifySec, CompileSec);
       return 1;
     }
 

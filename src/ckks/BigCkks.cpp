@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ckks/BigCkks.h"
+#include "hisa/LevelScale.h"
 
 #include "math/PrimeGen.h"
 #include "support/Error.h"
@@ -638,28 +639,17 @@ void BigCkksBackend::rotateByElement(Ct &C, uint64_t Elt,
 
 void BigCkksBackend::rotLeftAssign(Ct &C, int Steps) {
   size_t Slots = slotCount();
-  int64_t S = Steps % static_cast<int64_t>(Slots);
-  if (S < 0)
-    S += Slots;
+  int S = normalizeRotation(Steps, Slots);
   if (S == 0)
     return;
 
-  uint64_t Elt = Encoder.galoisElement(static_cast<int>(S));
+  uint64_t Elt = Encoder.galoisElement(S);
   auto It = GaloisKeys.find(Elt);
   if (It != GaloisKeys.end()) {
     rotateByElement(C, Elt, It->second);
     return;
   }
-  int64_t Remaining = S <= static_cast<int64_t>(Slots / 2)
-                          ? S
-                          : S - static_cast<int64_t>(Slots);
-  int Direction = Remaining >= 0 ? 1 : -1;
-  uint64_t Mag =
-      static_cast<uint64_t>(Remaining >= 0 ? Remaining : -Remaining);
-  for (int Bit = 0; Mag != 0; ++Bit, Mag >>= 1) {
-    if (!(Mag & 1))
-      continue;
-    int Step = Direction * (1 << Bit);
+  forEachRotationHop(S, Slots, [&](int Step) {
     uint64_t E = Encoder.galoisElement(Step);
     auto KeyIt = GaloisKeys.find(E);
     if (KeyIt == GaloisKeys.end())
@@ -669,7 +659,7 @@ void BigCkksBackend::rotLeftAssign(Ct &C, int Steps) {
           "); available rotation steps: ",
           describeRotationSteps(RotationSteps)));
     rotateByElement(C, E, KeyIt->second);
-  }
+  });
 }
 
 std::vector<BigCkksBackend::Ct>

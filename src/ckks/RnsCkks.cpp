@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ckks/RnsCkks.h"
+#include "hisa/LevelScale.h"
 
 #include "math/PrimeGen.h"
 #include "support/Error.h"
@@ -841,13 +842,11 @@ void RnsCkksBackend::rotateByElement(Ct &C, uint64_t Elt,
 
 void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
   size_t Slots = slotCount();
-  int64_t S = Steps % static_cast<int64_t>(Slots);
-  if (S < 0)
-    S += Slots;
+  int S = normalizeRotation(Steps, Slots);
   if (S == 0)
     return;
 
-  uint64_t Elt = Encoder.galoisElement(static_cast<int>(S));
+  uint64_t Elt = Encoder.galoisElement(S);
   auto It = GaloisKeys.find(Elt);
   if (It != GaloisKeys.end()) {
     rotateByElement(C, Elt, It->second);
@@ -856,16 +855,7 @@ void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
   // No dedicated key: fall back to the default power-of-two key set,
   // taking the shorter direction (Section 2.4: "use multiple rotations to
   // achieve the desired amount").
-  int64_t Remaining = S <= static_cast<int64_t>(Slots / 2)
-                          ? S
-                          : S - static_cast<int64_t>(Slots);
-  int Direction = Remaining >= 0 ? 1 : -1;
-  uint64_t Mag = static_cast<uint64_t>(Remaining >= 0 ? Remaining
-                                                      : -Remaining);
-  for (int Bit = 0; Mag != 0; ++Bit, Mag >>= 1) {
-    if (!(Mag & 1))
-      continue;
-    int Step = Direction * (1 << Bit);
+  forEachRotationHop(S, Slots, [&](int Step) {
     uint64_t E = Encoder.galoisElement(Step);
     auto KeyIt = GaloisKeys.find(E);
     if (KeyIt == GaloisKeys.end())
@@ -875,7 +865,7 @@ void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
           "); available rotation steps: ",
           describeRotationSteps(RotationSteps)));
     rotateByElement(C, E, KeyIt->second);
-  }
+  });
 }
 
 std::vector<RnsCkksBackend::Ct>

@@ -9,6 +9,7 @@
 #include "hisa/Hisa.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -18,7 +19,8 @@ static_assert(HisaBackend<AnalysisBackend>,
               "AnalysisBackend must satisfy the HISA concept");
 
 AnalysisBackend::AnalysisBackend(const AnalysisConfig &ConfigIn)
-    : Config(ConfigIn), Slots(size_t(1) << (ConfigIn.LogN - 1)) {
+    : Config(ConfigIn), Core(ConfigIn.Scheme == SchemeKind::RnsCkks,
+                             ConfigIn.LogN, ConfigIn.ScalePrimeCandidates) {
   if (Config.Scheme == SchemeKind::RnsCkks)
     CHET_CHECK(!Config.ScalePrimeCandidates.empty(), InvalidArgument,
                "RNS analysis needs the candidate modulus list");
@@ -66,22 +68,14 @@ AnalysisBackend::Ct AnalysisBackend::encrypt(const Pt &P) {
 }
 
 void AnalysisBackend::rotLeftAssign(Ct &C, int Steps) {
-  int64_t S = Steps % static_cast<int64_t>(Slots);
-  if (S < 0)
-    S += Slots;
+  int S = normalizeRotation(Steps, slotCount());
   if (S == 0)
     return;
-  RotationSteps.insert(static_cast<int>(S));
-  int Hops = 1;
-  if (!Config.SelectedRotationKeys) {
-    // Power-of-two fallback: one hop per set bit of the shorter
-    // direction (matches RnsCkksBackend::rotLeftAssign).
-    int64_t Short = S <= static_cast<int64_t>(Slots / 2)
-                        ? S
-                        : S - static_cast<int64_t>(Slots);
-    uint64_t Mag = static_cast<uint64_t>(Short >= 0 ? Short : -Short);
-    Hops = __builtin_popcountll(Mag);
-  }
+  RotationSteps.insert(S);
+  // Power-of-two fallback keys: one hop per set bit of the shorter
+  // direction (matches RnsCkksBackend::rotLeftAssign).
+  int Hops =
+      Config.SelectedRotationKeys ? 1 : rotationHopCount(S, slotCount());
   charge("rotate",
          Config.Cost ? Hops * Config.Cost->rotate(modulusState(C)) : 0);
   OpCounts["rotateHops"] += Hops - 1;
@@ -93,9 +87,7 @@ AnalysisBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
   Out.reserve(Steps.size());
   int NonZero = 0;
   for (int Raw : Steps) {
-    int64_t S = Raw % static_cast<int64_t>(Slots);
-    if (S < 0)
-      S += Slots;
+    int S = normalizeRotation(Raw, slotCount());
     Out.push_back(C); // rotations change no dataflow facts
     if (S == 0)
       continue;
@@ -108,7 +100,7 @@ AnalysisBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
       rotLeftAssign(Tmp, Raw);
       continue;
     }
-    RotationSteps.insert(static_cast<int>(S));
+    RotationSteps.insert(S);
     ++NonZero;
   }
   if (NonZero > 0) {
@@ -122,25 +114,16 @@ AnalysisBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
   return Out;
 }
 
-static bool analysisScalesMatch(double A, double B) {
-  double Ratio = A / B;
-  return Ratio > 1.0 - 1e-6 && Ratio < 1.0 + 1e-6;
-}
-
 void AnalysisBackend::addAssign(Ct &C, const Ct &Other) {
-  CHET_CHECK(analysisScalesMatch(C.Scale, Other.Scale), ScaleMismatch,
+  CHET_CHECK(scalesMatch(C.Scale, Other.Scale), ScaleMismatch,
              "addition scale mismatch detected during analysis: ", C.Scale,
              " vs ", Other.Scale);
-  // Level alignment: the deeper history dominates.
-  if (Other.ConsumedPrimes > C.ConsumedPrimes)
-    C.ConsumedPrimes = Other.ConsumedPrimes;
-  if (Other.LogConsumed > C.LogConsumed)
-    C.LogConsumed = Other.LogConsumed;
+  LevelScaleCore::align(C, Other);
   charge("add", Config.Cost ? Config.Cost->add(modulusState(C)) : 0);
 }
 
 void AnalysisBackend::addPlainAssign(Ct &C, const Pt &P) {
-  CHET_CHECK(analysisScalesMatch(C.Scale, P.Scale), ScaleMismatch,
+  CHET_CHECK(scalesMatch(C.Scale, P.Scale), ScaleMismatch,
              "addPlain scale mismatch detected during analysis: ", C.Scale,
              " vs ", P.Scale);
   charge("addPlain", Config.Cost ? Config.Cost->add(modulusState(C)) : 0);
@@ -151,10 +134,7 @@ void AnalysisBackend::addScalarAssign(Ct &C, double X) {
 }
 
 void AnalysisBackend::mulAssign(Ct &C, const Ct &Other) {
-  if (Other.ConsumedPrimes > C.ConsumedPrimes)
-    C.ConsumedPrimes = Other.ConsumedPrimes;
-  if (Other.LogConsumed > C.LogConsumed)
-    C.LogConsumed = Other.LogConsumed;
+  LevelScaleCore::align(C, Other);
   C.Scale *= Other.Scale;
   trackScale(C);
   charge("mul", Config.Cost ? Config.Cost->mulCipher(modulusState(C)) : 0);
@@ -174,51 +154,18 @@ void AnalysisBackend::mulScalarAssign(Ct &C, double X, uint64_t Scale) {
          Config.Cost ? Config.Cost->mulScalar(modulusState(C)) : 0);
 }
 
-uint64_t AnalysisBackend::maxRescale(const Ct &C, uint64_t UpperBound) const {
-  if (Config.Scheme == SchemeKind::BigCkks) {
-    // Largest power of two under the bound (Section 5.2, CKKS analyser).
-    if (UpperBound < 2)
-      return 1;
-    int Bits = 63 - __builtin_clzll(UpperBound);
-    return uint64_t(1) << Bits;
-  }
-  // RNS analyser: largest product of the next candidate moduli under the
-  // bound (Section 5.2). Consumption proceeds along the global list.
-  uint64_t Divisor = 1;
-  size_t Index = C.ConsumedPrimes;
-  while (Index < Config.ScalePrimeCandidates.size()) {
-    uint64_t Q = Config.ScalePrimeCandidates[Index];
-    if (Divisor > UpperBound / Q)
-      break;
-    Divisor *= Q;
-    ++Index;
-  }
-  return Divisor;
-}
-
 void AnalysisBackend::rescaleAssign(Ct &C, uint64_t Divisor) {
   if (Divisor <= 1)
     return;
   charge("rescale", Config.Cost ? Config.Cost->rescale(modulusState(C)) : 0);
-  if (Config.Scheme == SchemeKind::BigCkks) {
+  if (!Core.rns()) {
     assert((Divisor & (Divisor - 1)) == 0 && "CKKS divisor must be 2^k");
-    double Bits = std::log2(static_cast<double>(Divisor));
-    C.LogConsumed += Bits;
-    C.Scale /= static_cast<double>(Divisor);
-    if (C.LogConsumed > MaxLogConsumed)
-      MaxLogConsumed = C.LogConsumed;
+    Core.shedBits(C, Divisor);
+    MaxLogConsumed = std::max(MaxLogConsumed, C.LogConsumed);
     return;
   }
-  while (Divisor > 1) {
-    assert(C.ConsumedPrimes <
-               static_cast<int>(Config.ScalePrimeCandidates.size()) &&
-           "candidate modulus list exhausted");
-    uint64_t Q = Config.ScalePrimeCandidates[C.ConsumedPrimes];
-    assert(Divisor % Q == 0 && "divisor not from maxRescale");
-    Divisor /= Q;
-    C.Scale /= static_cast<double>(Q);
-    ++C.ConsumedPrimes;
+  while (Divisor > 1 && Core.shedPrime(C, Divisor)) {
   }
-  if (C.ConsumedPrimes > MaxConsumedPrimes)
-    MaxConsumedPrimes = C.ConsumedPrimes;
+  assert(Divisor == 1 && "divisor not from maxRescale or list exhausted");
+  MaxConsumedPrimes = std::max(MaxConsumedPrimes, C.ConsumedPrimes);
 }

@@ -34,6 +34,7 @@
 
 #include "core/CostModel.h"
 #include "hisa/Hisa.h"
+#include "hisa/LevelScale.h"
 
 #include <cstdint>
 #include <map>
@@ -73,11 +74,7 @@ struct AnalysisConfig {
 /// HisaBackend concept as the real schemes.
 class AnalysisBackend {
 public:
-  struct Ct {
-    double Scale = 1.0;
-    int ConsumedPrimes = 0;    ///< RNS: index into the candidate list.
-    double LogConsumed = 0.0;  ///< CKKS: log2 of the divisor product.
-  };
+  using Ct = LevelScale;
   struct Pt {
     double Scale = 1.0;
   };
@@ -88,7 +85,7 @@ public:
   // HISA instructions.
   //===--------------------------------------------------------------===//
 
-  size_t slotCount() const { return Slots; }
+  size_t slotCount() const { return Core.slotCount(); }
   Pt encode(const std::vector<double> &Values, double Scale);
   std::vector<double> decode(const Pt &P) const;
   Ct encrypt(const Pt &P);
@@ -116,7 +113,9 @@ public:
   void mulPlainAssign(Ct &C, const Pt &P);
   void mulScalarAssign(Ct &C, double X, uint64_t Scale);
 
-  uint64_t maxRescale(const Ct &C, uint64_t UpperBound) const;
+  uint64_t maxRescale(const Ct &C, uint64_t UpperBound) const {
+    return Core.maxRescale(C, UpperBound);
+  }
   void rescaleAssign(Ct &C, uint64_t Divisor);
   double scaleOf(const Ct &C) const { return C.Scale; }
 
@@ -146,7 +145,7 @@ private:
   void trackScale(const Ct &C);
 
   AnalysisConfig Config;
-  size_t Slots;
+  LevelScaleCore Core;
 
   int MaxConsumedPrimes = 0;
   double MaxLogConsumed = 0;

@@ -6,22 +6,17 @@
 
 #include "core/Compiler.h"
 
-#include "core/FootprintAnalysis.h"
-#include "core/NoiseAnalysis.h"
+#include "core/Audit.h"
 #include "core/Validate.h"
-#include "core/Verifier.h"
 #include "runtime/ReferenceOps.h"
 #include "support/Error.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <cmath>
 
 using namespace chet;
-using chet::detail::minLogNForData;
-using chet::detail::scalePrimeBits;
 
 bool chet::narrowChainRequested(PrimeChainWidth Width) {
   if (Width != PrimeChainWidth::Auto)
@@ -39,124 +34,47 @@ namespace {
 
 struct PolicyRun {
   PolicyAnalysis Info;
-  int ConsumedPrimes = 0;
-  int ExtraPrimes = 0;
-  double LogConsumed = 0;
-  bool Feasible = true;
+  detail::PolicySizing Sizing;
 };
 
-/// Runs the modulus analysis (phase 1) and the cost analysis (phase 2)
-/// for one layout policy, iterating the ring dimension to a fixpoint
-/// between data fit, modulus budget, and the security table (the
-/// interdependence discussed in Section 3.1).
+/// Runs the modulus analysis (phase 1, shared with validateCircuit) and
+/// the cost analysis (phase 2) for one layout policy.
 PolicyRun analyzePolicy(const TensorCircuit &Circ,
                         const CompilerOptions &Options, LayoutPolicy Policy,
                         const std::vector<uint64_t> &ScaleCandidates) {
   PolicyRun Run;
+  Run.Sizing = detail::sizePolicy(Circ, Options, Policy, ScaleCandidates);
+  const detail::PolicySizing &S = Run.Sizing;
   Run.Info.Policy = Policy;
-  const OpNode &In = Circ.ops().front();
-  Tensor3 Dummy(In.C, In.H, In.W);
-
-  int LogN = minLogNForData(Circ);
-  double LogQ = 0, LogQP = 0;
-  int ChainPrimes = 0;
-  for (;;) {
-    AnalysisConfig C1;
-    C1.Scheme = Options.Scheme;
-    C1.LogN = LogN;
-    C1.ScalePrimeCandidates = ScaleCandidates;
-    AnalysisBackend B1(C1);
-    double OutScaleLog = 0;
-    try {
-      TensorLayout L = circuitInputLayout(Circ, Policy, B1.slotCount());
-      auto Enc = encryptTensor(B1, Dummy, L, Options.Scales);
-      auto Out = evaluateCircuit(B1, Circ, Enc, Options.Scales, Policy);
-      OutScaleLog = std::log2(Out.scale(B1));
-    } catch (const ChetError &) {
-      // A kernel rejected the circuit under this policy (scale or
-      // layout misuse the analysis can detect without data). Mark the
-      // policy infeasible; validateCircuit re-derives the details when
-      // every policy fails.
-      Run.Feasible = false;
-      Run.Info.LogN = LogN;
-      Run.Info.EstimatedCost = std::numeric_limits<double>::infinity();
-      return Run;
-    }
-    double Need = OutScaleLog + Options.OutputPrecisionBits;
-
-    if (Options.Scheme == SchemeKind::RnsCkks) {
-      Run.ConsumedPrimes = B1.maxConsumedPrimes();
-      double ConsumedBits = 0;
-      for (int I = 0; I < Run.ConsumedPrimes; ++I)
-        ConsumedBits += std::log2(static_cast<double>(ScaleCandidates[I]));
-      // Reserve enough unconsumed modulus (q_0 plus extra primes) to hold
-      // the output at its scale plus the precision headroom.
-      double Reserve = Options.FirstPrimeBits;
-      Run.ExtraPrimes = 0;
-      while (Reserve < Need) {
-        size_t Index = Run.ConsumedPrimes + Run.ExtraPrimes;
-        if (Index >= ScaleCandidates.size()) {
-          // The global candidate modulus list cannot cover this policy's
-          // rescale chain plus output headroom; validateCircuit reports
-          // the details if every policy ends up infeasible.
-          Run.Feasible = false;
-          Run.Info.LogN = LogN;
-          Run.Info.EstimatedCost = std::numeric_limits<double>::infinity();
-          return Run;
-        }
-        Reserve += std::log2(static_cast<double>(ScaleCandidates[Index]));
-        ++Run.ExtraPrimes;
-      }
-      LogQ = ConsumedBits + Reserve;
-      ChainPrimes = 1 + Run.ConsumedPrimes + Run.ExtraPrimes;
-      LogQP = LogQ + Options.FirstPrimeBits;
-    } else {
-      Run.LogConsumed = B1.maxLogConsumed();
-      LogQ = std::ceil(Run.LogConsumed + Need);
-      LogQP = 2 * LogQ; // LogSpecial = LogQ, HEAAN style
-    }
-
-    int SecLogN = minLogNForLogQ(static_cast<int>(std::ceil(LogQP)),
-                                 Options.Security);
-    if (SecLogN == -1 || std::max(LogN, SecLogN) > Options.MaxLogN) {
-      // This policy consumes more modulus than any permissible ring
-      // dimension provides at the requested security level. Mark it
-      // infeasible; the driver fails only if every policy is.
-      Run.Feasible = false;
-      Run.Info.LogN = LogN;
-      Run.Info.LogQ = LogQ;
-      Run.Info.LogQP = LogQP;
-      Run.Info.EstimatedCost = std::numeric_limits<double>::infinity();
-      return Run;
-    }
-    int NewLogN = std::max(LogN, SecLogN);
-    if (NewLogN == LogN)
-      break;
-    LogN = NewLogN; // slot-dependent choices change; re-analyze
+  Run.Info.LogN = S.LogN;
+  Run.Info.LogQ = S.LogQ;
+  Run.Info.LogQP = S.LogQP;
+  if (S.Violation) {
+    Run.Info.EstimatedCost = std::numeric_limits<double>::infinity();
+    return Run;
   }
 
   // Phase 2: cost + rotation-set analysis at the chosen dimension.
   CostModel Model = CostModel::create(
-      Options.Scheme, LogN,
-      Options.Scheme == SchemeKind::BigCkks ? LogQ : 0);
+      Options.Scheme, S.LogN,
+      Options.Scheme == SchemeKind::BigCkks ? S.LogQ : 0);
   AnalysisConfig C2;
   C2.Scheme = Options.Scheme;
-  C2.LogN = LogN;
+  C2.LogN = S.LogN;
   C2.ScalePrimeCandidates = ScaleCandidates;
   C2.Cost = &Model;
-  C2.TotalChainPrimes = ChainPrimes;
-  C2.TotalLogQ = LogQ;
+  C2.TotalChainPrimes = S.ChainPrimes;
+  C2.TotalLogQ = S.LogQ;
   C2.SelectedRotationKeys = Options.SelectRotationKeys;
   C2.HoistedRotationPricing = Options.HoistedRotationCost;
   AnalysisBackend B2(C2);
+  const OpNode &In = Circ.ops().front();
+  Tensor3 Dummy(In.C, In.H, In.W);
   TensorLayout L = circuitInputLayout(Circ, Policy, B2.slotCount());
   auto Enc = encryptTensor(B2, Dummy, L, Options.Scales);
   (void)evaluateCircuit(B2, Circ, Enc, Options.Scales, Policy);
 
-  Run.Info.LogN = LogN;
-  Run.Info.LogQ = LogQ;
-  Run.Info.LogQP = LogQP;
-  Run.Info.ChainPrimes = ChainPrimes;
+  Run.Info.ChainPrimes = S.ChainPrimes;
   Run.Info.EstimatedCost = B2.totalCost();
   Run.Info.RotationSteps = B2.rotationSteps();
   return Run;
@@ -166,50 +84,36 @@ PolicyRun analyzePolicy(const TensorCircuit &Circ,
 
 CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
                                      const CompilerOptions &Options) {
-  // The global pre-generated candidate modulus list (Section 5.2). The
-  // narrow-chain policy caps scale primes at the packed-NTT word bound;
-  // the scalePrimeBits floor of 29 keeps the cap inside the [29, 30]
-  // range where the q = 1 mod 2^17 class still holds enough primes.
-  int ScaleBits = scalePrimeBits(Options.Scales);
-  if (Options.Scheme == SchemeKind::RnsCkks &&
-      narrowChainRequested(Options.ChainWidth))
-    ScaleBits = std::min(ScaleBits, kNarrowPrimeBits);
-  std::vector<uint64_t> Chain =
-      RnsCkksParams::candidateChain(65, Options.FirstPrimeBits, ScaleBits);
+  std::vector<uint64_t> Chain = detail::candidateChain(Options);
   uint64_t FirstPrime = Chain.front();
   std::vector<uint64_t> ScaleCandidates(Chain.begin() + 1, Chain.end());
-
-  std::vector<LayoutPolicy> Policies;
-  if (Options.SearchLayouts)
-    Policies.assign(std::begin(kAllLayoutPolicies),
-                    std::end(kAllLayoutPolicies));
-  else
-    Policies.push_back(Options.FixedPolicy);
 
   CompiledCircuit Result;
   Result.Scheme = Options.Scheme;
   Result.Scales = Options.Scales;
   Result.PadPhys = Circ.padPhysNeeded();
 
+  // Phase 1 reports each infeasible policy's violation, so an infeasible
+  // circuit's error lists every one of them without a second analysis.
+  ValidationReport Validation;
   std::optional<PolicyRun> Best;
-  for (LayoutPolicy Policy : Policies) {
-    PolicyRun Run =
-        analyzePolicy(Circ, Options, Policy, ScaleCandidates);
+  for (LayoutPolicy Policy : detail::candidatePolicies(Options)) {
+    ++Validation.PoliciesChecked;
+    PolicyRun Run = analyzePolicy(Circ, Options, Policy, ScaleCandidates);
     Result.PerPolicy.push_back(Run.Info);
-    if (!Run.Feasible)
+    if (Run.Sizing.Violation) {
+      Validation.Diagnostics.push_back(*Run.Sizing.Violation);
       continue;
+    }
+    ++Validation.FeasiblePolicies;
     if (!Best || Run.Info.EstimatedCost < Best->Info.EstimatedCost)
       Best = std::move(Run);
   }
-  if (!Best) {
-    // Re-run the analyses in diagnostic mode so the error lists every
-    // violation of every candidate policy, not just "compilation failed".
-    ValidationReport Report = validateCircuit(Circ, Options);
+  if (!Best)
     throw InfeasibleCircuitError(formatError(
         "no layout policy fits any tabulated ring dimension at the "
         "requested security level; ",
-        Report.str()));
-  }
+        Validation.str()));
 
   Result.Policy = Best->Info.Policy;
   Result.LogN = Best->Info.LogN;
@@ -227,9 +131,10 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
     // chain's tail, so it consumes candidates in exactly the order the
     // analysis did.
     P.ChainPrimes.push_back(FirstPrime);
-    for (int I = 0; I < Best->ExtraPrimes; ++I)
-      P.ChainPrimes.push_back(ScaleCandidates[Best->ConsumedPrimes + I]);
-    for (int I = Best->ConsumedPrimes - 1; I >= 0; --I)
+    const detail::PolicySizing &S = Best->Sizing;
+    for (int I = 0; I < S.ExtraPrimes; ++I)
+      P.ChainPrimes.push_back(ScaleCandidates[S.ConsumedPrimes + I]);
+    for (int I = S.ConsumedPrimes - 1; I >= 0; --I)
       P.ChainPrimes.push_back(ScaleCandidates[I]);
     P.SpecialPrime =
         RnsCkksParams::candidateSpecial(Options.FirstPrimeBits);
@@ -246,34 +151,25 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
     Result.Big = std::move(P);
   }
 
+  // One post-compile audit pass: verification, precision bound and
+  // footprint bound from a single re-interpretation of the artifact.
+  AuditReport Audit = auditCircuit(Circ, Result);
   if (Options.PostCompileVerify) {
-    VerifierOptions VOpts;
-    VerificationReport VR = verifyCircuit(Circ, Result, VOpts);
-    if (!VR.ok())
-      throw InfeasibleCircuitError(
-          formatError("post-compile verification failed; ", VR.str()));
-    for (VerifierDiagnostic &D : VR.Diagnostics)
-      Result.Warnings.push_back(std::move(D));
+    if (!Audit.Verification.ok())
+      throw InfeasibleCircuitError(formatError(
+          "post-compile verification failed; ", Audit.Verification.str()));
+    Result.Warnings = std::move(Audit.Verification.Diagnostics);
   }
-
-  if (Options.StaticNoiseAnalysis) {
-    NoiseAnalysisOptions NOpts;
-    NOpts.InputAbs = Options.NoiseInputAbs;
-    NoiseReport NR = analyzeNoise(Circ, Result, NOpts);
-    Result.Noise = NR.summary();
-    if (Options.MaxOutputError > 0 &&
-        NR.ErrorBound > Options.MaxOutputError)
-      throw PrecisionBoundError(formatError(
-          "the static worst-case output error ", NR.ErrorBound,
-          " exceeds the requested precision ", Options.MaxOutputError,
-          "; ", NR.str()));
-  }
-
-  if (Options.StaticFootprintAnalysis) {
-    FootprintAnalysisOptions FOpts;
-    FOpts.Threads = Options.FootprintThreads;
-    Result.Footprint = analyzeFootprint(Circ, Result, FOpts).summary();
-  }
+  if (Audit.Failure)
+    std::rethrow_exception(Audit.Failure);
+  Result.Noise = Audit.Noise.summary();
+  if (Options.MaxOutputError > 0 &&
+      Audit.Noise.ErrorBound > Options.MaxOutputError)
+    throw PrecisionBoundError(formatError(
+        "the static worst-case output error ", Audit.Noise.ErrorBound,
+        " exceeds the requested precision ", Options.MaxOutputError, "; ",
+        Audit.Noise.str()));
+  Result.Footprint = Audit.Footprint.summary();
   return Result;
 }
 

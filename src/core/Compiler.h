@@ -83,29 +83,16 @@ struct CompilerOptions {
   LayoutPolicy FixedPolicy = LayoutPolicy::AllHW;
   /// Ring-dimension search bound.
   int MaxLogN = 16;
-  /// Run the static verifier (Verifier.h) over the compiled artifact:
-  /// errors abort through the InfeasibleCircuit path, warnings and notes
-  /// land on CompiledCircuit::Warnings.
+  /// Act on the verifier findings of the post-compile audit (Audit.h),
+  /// which runs on every compile: errors abort through the
+  /// InfeasibleCircuit path, warnings and notes land on
+  /// CompiledCircuit::Warnings. Off, the findings are discarded.
   bool PostCompileVerify = true;
-  /// Run the static range/noise analysis (NoiseAnalysis.h) over the
-  /// compiled artifact and record its bound on CompiledCircuit::Noise.
-  bool StaticNoiseAnalysis = true;
-  /// Bound on |input slot value| the noise analysis assumes (the zoo's
-  /// test images are drawn from [-0.5, 0.5]).
-  double NoiseInputAbs = 0.5;
   /// Requested output precision as an absolute error target: when
-  /// positive and the static worst-case output error exceeds it,
+  /// positive and the audit's static worst-case output error exceeds it,
   /// compilation fails with a typed PrecisionBound error naming the
-  /// hottest layers. Zero keeps the analysis report-only.
+  /// hottest layers. Zero keeps the bound report-only.
   double MaxOutputError = 0;
-  /// Run the static peak-footprint analysis (FootprintAnalysis.h) over
-  /// the compiled artifact and record its bound on
-  /// CompiledCircuit::Footprint. Servers use the bound to reserve
-  /// memory before dispatch (support/MemoryGovernor.h).
-  bool StaticFootprintAnalysis = true;
-  /// Worst-case concurrent kernel lanes the footprint analysis models
-  /// (each lane holds its own pooled scratch).
-  unsigned FootprintThreads = 8;
 };
 
 /// Per-policy analysis record, kept for reporting (Tables 5/6, Figure 6).
@@ -131,11 +118,11 @@ struct VerifierDiagnostic {
   std::string Message;
 };
 
-/// Headline numbers of the static range/noise analysis, recorded on the
-/// compiled artifact (the full per-layer report is analyzeNoise in
-/// NoiseAnalysis.h). All values are message-space bounds at the circuit
-/// output: the decrypted result differs from the exact real computation
-/// by at most ErrorBound = QuantBound + NoiseBound.
+/// Headline numbers of the post-compile audit's range/noise bound,
+/// recorded on the compiled artifact (the full per-layer report is
+/// analyzeNoise in NoiseAnalysis.h). All values are message-space bounds
+/// at the circuit output: the decrypted result differs from the exact
+/// real computation by at most ErrorBound = QuantBound + NoiseBound.
 struct NoiseSummary {
   bool Analyzed = false;
   double MessageBound = 0; ///< Bound on |output value|.
@@ -144,12 +131,12 @@ struct NoiseSummary {
   double NoiseBound = 0;   ///< RLWE noise share.
 };
 
-/// Headline numbers of the static peak-footprint analysis, recorded on
-/// the compiled artifact (the full per-layer report is analyzeFootprint
-/// in FootprintAnalysis.h). PeakBytes is a worst-case bound on the
-/// bytes one inference of this circuit holds live at once -- value-table
-/// ciphertexts plus kernel scratch and transient copies -- sized from
-/// the scheme's actual ring degree and per-level limb counts.
+/// Headline numbers of the post-compile audit's peak-footprint bound,
+/// recorded on the compiled artifact (the full per-layer report is
+/// analyzeFootprint in FootprintAnalysis.h). PeakBytes is a worst-case
+/// bound on the bytes one inference of this circuit holds live at once
+/// -- value-table ciphertexts plus kernel scratch and transient copies --
+/// sized from the scheme's actual ring degree and per-level limb counts.
 struct FootprintSummary {
   bool Analyzed = false;
   uint64_t PeakBytes = 0;       ///< InputBytes + live + scratch + transient.
@@ -174,12 +161,12 @@ struct CompiledCircuit {
   std::vector<int> RotationKeys;
   /// The full four-policy analysis for reporting.
   std::vector<PolicyAnalysis> PerPolicy;
-  /// Non-fatal findings of the post-compile verification pass (empty
-  /// when CompilerOptions::PostCompileVerify is off).
+  /// Non-fatal verifier findings of the post-compile audit (empty when
+  /// CompilerOptions::PostCompileVerify is off).
   std::vector<VerifierDiagnostic> Warnings;
-  /// Static precision bound (CompilerOptions::StaticNoiseAnalysis).
+  /// Static precision bound from the post-compile audit.
   NoiseSummary Noise;
-  /// Static memory bound (CompilerOptions::StaticFootprintAnalysis).
+  /// Static memory bound from the post-compile audit.
   FootprintSummary Footprint;
 };
 

@@ -70,7 +70,7 @@ private:
 };
 
 /// Worst-case CKKS noise constants for the static range/noise analysis
-/// (hisa/RangeNoiseBackend.h, core/NoiseAnalysis.h).
+/// (hisa/AuditBackend.h, core/NoiseAnalysis.h).
 ///
 /// All quantities are high-probability canonical-embedding bounds on the
 /// *slot magnitude* of the freshly introduced noise polynomial; dividing

@@ -6,7 +6,7 @@
 
 #include "core/FootprintAnalysis.h"
 
-#include "core/Evaluate.h"
+#include "core/Audit.h"
 
 #include <algorithm>
 #include <iomanip>
@@ -15,33 +15,6 @@
 using namespace chet;
 
 namespace {
-
-/// Extracts the analysis' abstract machine from a compiled artifact,
-/// mirroring the precision pass' configFor (NoiseAnalysis.cpp).
-FootprintBackendConfig configFor(const CompiledCircuit &Compiled,
-                                 const FootprintAnalysisOptions &Options) {
-  FootprintBackendConfig C;
-  C.Rns = Compiled.Scheme == SchemeKind::RnsCkks;
-  C.LogN = Compiled.LogN;
-  if (Compiled.Rns) {
-    const auto &Chain = Compiled.Rns->ChainPrimes;
-    // The backends rescale from the chain's tail, so the consumption
-    // order the analysis sees is the tail reversed.
-    C.ScalePrimeCandidates.assign(Chain.rbegin(),
-                                  Chain.rend() - (Chain.empty() ? 0 : 1));
-    C.ChainLen = static_cast<int>(Chain.size());
-  }
-  C.Threads = Options.Threads;
-  return C;
-}
-
-uint64_t tensorBytes(const FootprintBackend &Backend,
-                     const CipherTensor<FootprintBackend> &T) {
-  uint64_t Bytes = 0;
-  for (const auto &Ct : T.Cts)
-    Bytes += Backend.ctBytes(Ct);
-  return Bytes;
-}
 
 double asMb(uint64_t Bytes) {
   return static_cast<double>(Bytes) / (1024.0 * 1024.0);
@@ -79,81 +52,9 @@ std::string FootprintReport::str() const {
 }
 
 FootprintReport chet::analyzeFootprint(const TensorCircuit &Circ,
-                                       const CompiledCircuit &Compiled,
-                                       const FootprintAnalysisOptions
-                                           &Options) {
-  CHET_CHECK(!Circ.ops().empty(), InvalidArgument,
-             "cannot analyze an empty circuit");
-  CHET_CHECK(Compiled.LogN >= 2 && Compiled.LogN <= 17, InvalidArgument,
-             "compiled artifact carries an unusable ring dimension LogN = ",
-             Compiled.LogN);
-
-  FootprintBackend Backend(configFor(Compiled, Options));
-
-  const auto &Ops = Circ.ops();
-  const OpNode &In = Ops.front();
-  Tensor3 Dummy(In.C, In.H, In.W);
-  TensorLayout L =
-      circuitInputLayout(Circ, Compiled.Policy, Backend.slotCount());
-  auto Enc = encryptTensor(Backend, Dummy, L, Compiled.Scales);
-
-  FootprintReport Report;
-  Report.Policy = Compiled.Policy;
-  Report.InputBytes = tensorBytes(Backend, Enc);
-
-  auto pushRow = [&](int NodeId, const std::string &Label, uint64_t Live,
-                     const FootprintNodeStats &S) {
-    FootprintNodeReport Row;
-    Row.NodeId = NodeId;
-    Row.Label = Label;
-    Row.LiveCtBytes = Live;
-    Row.ScratchBytes = S.ScratchPeakBytes;
-    Row.TransientBytes = S.TransientPeakBytes;
-    Row.PeakBytes = Live + S.ScratchPeakBytes + S.TransientPeakBytes;
-    Report.PerNode.push_back(Row);
-    if (Row.PeakBytes > Report.PeakBytes) {
-      Report.PeakBytes = Row.PeakBytes;
-      Report.PeakLiveCtBytes = Row.LiveCtBytes;
-      Report.PeakScratchBytes = Row.ScratchBytes;
-      Report.PeakNodeId = Row.NodeId;
-      Report.PeakLabel = Row.Label;
-    }
-  };
-
-  // Row 0: input packing (encryption runs before the first kernel).
-  pushRow(-1, "input packing", Report.InputBytes,
-          Backend.nodeStats().front());
-
-  // The evaluator's own loop, with the same liveness frontier it keeps
-  // (Evaluate.h): live bytes are measured *before* dead operands of the
-  // just-executed node are released, because they are held across the
-  // node's kernels.
-  std::vector<bool> NeedsMask = detail::computeMaskNeeds(Circ, Compiled.Policy);
-  std::vector<std::optional<CipherTensor<FootprintBackend>>> Vals(Ops.size());
-  std::vector<int> LastUse(Ops.size(), -1);
-  for (const OpNode &Node : Ops)
-    for (int InId : Node.Inputs)
-      LastUse[InId] = std::max(LastUse[InId], Node.Id);
-
-  for (const OpNode &Node : Ops) {
-    if (Node.Kind == OpKind::Output) {
-      Backend.beginNode(Node.Id, Node.Label);
-      const auto &Out = *Vals[Node.Inputs[0]];
-      Report.OutputBytes = tensorBytes(Backend, Out);
-      pushRow(Node.Id, Node.Label, Report.InputBytes + Report.OutputBytes,
-              Backend.nodeStats().back());
-      break;
-    }
-    detail::evaluateNode(Backend, Node, Vals, NeedsMask, Enc,
-                         Compiled.Scales, Compiled.Policy);
-    uint64_t Live = Report.InputBytes;
-    for (const auto &V : Vals)
-      if (V)
-        Live += tensorBytes(Backend, *V);
-    pushRow(Node.Id, Node.Label, Live, Backend.nodeStats().back());
-    for (int J = 0; J <= Node.Id; ++J)
-      if (Vals[J] && LastUse[J] <= Node.Id)
-        Vals[J].reset();
-  }
-  return Report;
+                                       const CompiledCircuit &Compiled) {
+  AuditReport R = auditCircuit(Circ, Compiled);
+  if (R.Failure)
+    std::rethrow_exception(R.Failure);
+  return std::move(R.Footprint);
 }

@@ -5,21 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile-time memory pass, the byte-space sibling of the precision
-/// pass (NoiseAnalysis.h): one value-agnostic evaluation of the compiled
-/// circuit over FootprintBackend (hisa/FootprintBackend.h) yields a
-/// worst-case bound on the bytes a single inference holds live at once,
-/// with per-layer provenance for hotspot reports.
-///
-/// Unlike analyzeNoise, which hands the whole loop to evaluateCircuit,
-/// this pass drives the node loop itself (detail::evaluateNode) so it
-/// can maintain the same liveness frontier the evaluator uses: after
-/// each node it sums the sizes of every value still in the table --
-/// including operands of the node just executed, which are live *during*
-/// it even when it is their last use -- then releases dead entries
-/// exactly as evaluateCircuit does. The per-node peak adds the node's
-/// worst-instruction pooled scratch (scaled by the modeled kernel
-/// concurrency) and transient-ciphertext terms from the backend.
+/// The compile-time memory analysis: the post-compile audit's (Audit.h)
+/// view of a compiled circuit as a worst-case bound on the bytes a single
+/// inference holds live at once, with per-layer provenance for hotspot
+/// reports. Per node the bound adds the evaluator's live value table
+/// (including operands of the node being executed) to the node's
+/// worst-instruction pooled scratch, scaled by the modeled kernel
+/// concurrency, and its transient ciphertext copies (hoisted rotation
+/// fan-out, kernel-local accumulators) -- all sized from the audit's
+/// level state (hisa/AuditBackend.h).
 ///
 /// Soundness contract, enforced by test_memory_governor and the
 /// bench_memory gate: for every zoo network and both schemes, PeakBytes
@@ -29,10 +23,10 @@
 /// reports the looseness ratio so regressions in either direction are
 /// visible.
 ///
-/// compileCircuit runs the pass after the noise analysis and records the
-/// headline numbers on CompiledCircuit::Footprint; the serving layer
-/// passes that bound as TenantOptions::PredictedPeakBytes so admission
-/// can reserve it against the process MemoryGovernor budget.
+/// compileCircuit records the headline numbers on
+/// CompiledCircuit::Footprint; the serving layer passes that bound as
+/// TenantOptions::PredictedPeakBytes so admission can reserve it against
+/// the process MemoryGovernor budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,18 +34,11 @@
 #define CHET_CORE_FOOTPRINTANALYSIS_H
 
 #include "core/Compiler.h"
-#include "hisa/FootprintBackend.h"
 
 #include <string>
 #include <vector>
 
 namespace chet {
-
-struct FootprintAnalysisOptions {
-  /// Worst-case concurrent kernel lanes to model (see
-  /// FootprintBackendConfig::Threads).
-  unsigned Threads = 8;
-};
 
 /// Per-layer row of the footprint report, in evaluation order. Row 0 is
 /// the synthetic "input packing" node.
@@ -85,12 +72,11 @@ struct FootprintReport {
   std::string str() const;
 };
 
-/// Runs the full analysis of \p Circ as compiled by \p Compiled.
-/// Value-agnostic and cheap (no encryption, no slot vectors); safe to
-/// run on every compile.
+/// Analyzes \p Circ as compiled by \p Compiled (one audit pass).
+/// Value-agnostic and cheap (no encryption, no slot vectors). Throws
+/// only on structural misuse the kernels reject.
 FootprintReport analyzeFootprint(const TensorCircuit &Circ,
-                                 const CompiledCircuit &Compiled,
-                                 const FootprintAnalysisOptions &Options = {});
+                                 const CompiledCircuit &Compiled);
 
 } // namespace chet
 

@@ -6,6 +6,8 @@
 
 #include "core/NoiseAnalysis.h"
 
+#include "core/Audit.h"
+
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
@@ -22,16 +24,35 @@ double maxAbs(const std::vector<double> &V) {
   return M;
 }
 
+/// Largest row L1 norm of the row-major Rows x Cols matrix \p W -- the
+/// exact supremum of the linear map over the unit box -- and its largest
+/// |entry|.
+std::pair<double, double> rowNorms(const std::vector<double> &W, int Rows,
+                                   int Cols) {
+  double L1 = 0, Wmax = 0;
+  for (int R = 0; R < Rows; ++R) {
+    const double *Row = W.data() + static_cast<size_t>(R) * Cols;
+    double Sum = 0;
+    for (int C = 0; C < Cols; ++C) {
+      double A = std::fabs(Row[C]);
+      Sum += A;
+      Wmax = std::max(Wmax, A);
+    }
+    L1 = std::max(L1, Sum);
+  }
+  return {L1, Wmax};
+}
+
 } // namespace
 
-std::map<int, RangeNoiseNodeEnv>
+std::map<int, RangeEnvelope>
 chet::rangeEnvelopes(const TensorCircuit &Circ, double InputAbs) {
-  std::map<int, RangeNoiseNodeEnv> Env;
+  std::map<int, RangeEnvelope> Env;
   const auto &Ops = Circ.ops();
   // Output-magnitude bound per node, in topological order.
   std::vector<double> Out(Ops.size(), 0);
   for (const OpNode &N : Ops) {
-    RangeNoiseNodeEnv E;
+    RangeEnvelope E;
     switch (N.Kind) {
     case OpKind::Input: {
       E.OutAbs = InputAbs;
@@ -42,19 +63,8 @@ chet::rangeEnvelopes(const TensorCircuit &Circ, double InputAbs) {
       double Xin = Out[N.Inputs[0]];
       // L1 norm of the worst output channel: the exact supremum of the
       // convolution over |x| <= Xin (padding only drops taps).
-      double L1 = 0;
-      double Wmax = 0;
-      for (int Co = 0; Co < N.Conv.Cout; ++Co) {
-        double Sum = 0;
-        for (int Ci = 0; Ci < N.Conv.Cin; ++Ci)
-          for (int Dy = 0; Dy < N.Conv.Kh; ++Dy)
-            for (int Dx = 0; Dx < N.Conv.Kw; ++Dx) {
-              double W = std::fabs(N.Conv.at(Co, Ci, Dy, Dx));
-              Sum += W;
-              Wmax = std::max(Wmax, W);
-            }
-        L1 = std::max(L1, Sum);
-      }
+      auto [L1, Wmax] = rowNorms(N.Conv.W, N.Conv.Cout,
+                                 N.Conv.Cin * N.Conv.Kh * N.Conv.Kw);
       E.WeightAbs = Wmax;
       E.BiasAbs = maxAbs(N.Conv.Bias);
       E.OutAbs = Xin * L1 + E.BiasAbs;
@@ -85,17 +95,7 @@ chet::rangeEnvelopes(const TensorCircuit &Circ, double InputAbs) {
     }
     case OpKind::FullyConnected: {
       double Xin = Out[N.Inputs[0]];
-      double L1 = 0;
-      double Wmax = 0;
-      for (int O = 0; O < N.Fc.Out; ++O) {
-        double Sum = 0;
-        for (int I = 0; I < N.Fc.In; ++I) {
-          double W = std::fabs(N.Fc.at(O, I));
-          Sum += W;
-          Wmax = std::max(Wmax, W);
-        }
-        L1 = std::max(L1, Sum);
-      }
+      auto [L1, Wmax] = rowNorms(N.Fc.W, N.Fc.Out, N.Fc.In);
       E.WeightAbs = Wmax;
       E.BiasAbs = maxAbs(N.Fc.Bias);
       E.OutAbs = Xin * L1 + E.BiasAbs;
@@ -127,35 +127,6 @@ chet::rangeEnvelopes(const TensorCircuit &Circ, double InputAbs) {
   return Env;
 }
 
-namespace {
-
-/// Extracts the analysis' abstract machine from a compiled artifact,
-/// mirroring the verifier's configFor (Verifier.cpp).
-RangeNoiseBackendConfig configFor(const CompiledCircuit &Compiled,
-                                  const NoiseAnalysisOptions &Options) {
-  RangeNoiseBackendConfig C;
-  C.Rns = Compiled.Scheme == SchemeKind::RnsCkks;
-  C.LogN = Compiled.LogN;
-  if (Compiled.Rns) {
-    const auto &Chain = Compiled.Rns->ChainPrimes;
-    // The backends rescale from the chain's tail, so the consumption
-    // order the analysis sees is the tail reversed.
-    C.ScalePrimeCandidates.assign(Chain.rbegin(),
-                                  Chain.rend() - (Chain.empty() ? 0 : 1));
-    C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, Chain,
-                                 Compiled.Rns->SpecialPrime, Compiled.LogQ);
-  } else {
-    C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, {}, 0,
-                                 Compiled.LogQ);
-  }
-  C.WeightScale = Compiled.Scales.Weight;
-  C.MaskScale = Compiled.Scales.Mask;
-  C.InputAbs = Options.InputAbs;
-  return C;
-}
-
-} // namespace
-
 std::vector<NoiseNodeReport> NoiseReport::hotspots(size_t K) const {
   std::vector<NoiseNodeReport> Rows = PerNode;
   std::stable_sort(Rows.begin(), Rows.end(),
@@ -182,39 +153,9 @@ std::string NoiseReport::str() const {
 }
 
 NoiseReport chet::analyzeNoise(const TensorCircuit &Circ,
-                               const CompiledCircuit &Compiled,
-                               const NoiseAnalysisOptions &Options) {
-  CHET_CHECK(!Circ.ops().empty(), InvalidArgument,
-             "cannot analyze an empty circuit");
-  CHET_CHECK(Compiled.LogN >= 2 && Compiled.LogN <= 17, InvalidArgument,
-             "compiled artifact carries an unusable ring dimension LogN = ",
-             Compiled.LogN);
-
-  RangeNoiseBackendConfig Config = configFor(Compiled, Options);
-  Config.NodeEnv = rangeEnvelopes(Circ, Options.InputAbs);
-  RangeNoiseBackend Backend(Config);
-
-  const OpNode &In = Circ.ops().front();
-  Tensor3 Dummy(In.C, In.H, In.W);
-  TensorLayout L =
-      circuitInputLayout(Circ, Compiled.Policy, Backend.slotCount());
-  auto Enc = encryptTensor(Backend, Dummy, L, Compiled.Scales);
-  auto Out = evaluateCircuit(Backend, Circ, Enc, Compiled.Scales,
-                             Compiled.Policy);
-
-  NoiseReport Report;
-  Report.Policy = Compiled.Policy;
-  for (const auto &Ct : Out.Cts) {
-    double Err = Ct.QuantErr + Ct.NoiseErr;
-    Report.MessageBound = std::max(Report.MessageBound, Ct.Abs);
-    if (Err > Report.ErrorBound) {
-      Report.ErrorBound = Err;
-      Report.QuantBound = Ct.QuantErr;
-      Report.NoiseBound = Ct.NoiseErr;
-    }
-  }
-  for (const RangeNoiseNodeStats &S : Backend.nodeStats())
-    Report.PerNode.push_back(
-        {S.NodeId, S.Label, S.PeakAbs, S.PeakErr, S.NoiseIntroduced});
-  return Report;
+                               const CompiledCircuit &Compiled) {
+  AuditReport R = auditCircuit(Circ, Compiled);
+  if (R.Failure)
+    std::rethrow_exception(R.Failure);
+  return std::move(R.Noise);
 }

@@ -5,33 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile-time precision pass: one value-agnostic evaluation of the
-/// compiled circuit over RangeNoiseBackend (hisa/RangeNoiseBackend.h)
-/// yields a sound worst-case bound on |encrypted output - exact output|,
-/// split into a fixed-point quantization share and an RLWE noise share,
-/// with per-layer provenance for hotspot reports.
+/// The compile-time precision analysis: the post-compile audit's
+/// (Audit.h) view of a compiled circuit as a sound worst-case bound on
+/// |encrypted output - exact output|, split into a fixed-point
+/// quantization share and an RLWE noise share, with per-layer provenance
+/// for hotspot reports.
 ///
-/// The pass runs in two stages:
+/// The analysis runs in two stages:
 ///
-///  1. A semantic range pre-pass over the tensor IR computes, per node,
-///     a tight output-magnitude bound from the network's actual weights
-///     (the L1 norm of a linear layer is the exact supremum of its
-///     output over a box of inputs) plus a sound cap on every
-///     intermediate slot value the node's kernel materializes. O(#weights).
-///  2. The abstract HISA evaluation propagates interval + error state
-///     per instruction, clamping value bounds to the stage-1 caps so
-///     kernel-internal fan-out (replicate-sums, tap accumulation) cannot
-///     blow the interval up past what the layer semantics allow. O(#ops).
+///  1. A semantic range pre-pass over the tensor IR (rangeEnvelopes)
+///     computes, per node, a tight output-magnitude bound from the
+///     network's actual weights (the L1 norm of a linear layer is the
+///     exact supremum of its output over a box of inputs) plus a sound
+///     cap on every intermediate slot value the node's kernel
+///     materializes. O(#weights).
+///  2. The audit's range/noise facet (hisa/AuditBackend.h) propagates
+///     interval + error state per instruction, clamping value bounds to
+///     the stage-1 caps so kernel-internal fan-out (replicate-sums, tap
+///     accumulation) cannot blow the interval up past what the layer
+///     semantics allow. O(#ops).
 ///
-/// compileCircuit runs the pass after PostCompileVerify and records the
-/// headline bound on CompiledCircuit::Noise; with a positive
-/// CompilerOptions::MaxOutputError it fails compilation with a typed
-/// PrecisionBound error. selectScales consults the bound to accept
-/// candidates statically, skipping encrypted trial runs (see
-/// ScaleSearchOptions::UseStaticBound). The two post-compile passes
-/// compose: the verifier proves the artifact *runs* (scales align, the
-/// chain suffices, rotations have keys); this pass proves what runs is
-/// *precise*. It assumes a verified artifact and keeps no repair logic.
+/// compileCircuit records the headline bound on CompiledCircuit::Noise;
+/// with a positive CompilerOptions::MaxOutputError it fails compilation
+/// with a typed PrecisionBound error. selectScales consults the bound to
+/// accept candidates statically, skipping encrypted trial runs (see
+/// ScaleSearchOptions::UseStaticBound). The verifier facet of the same
+/// pass proves the artifact *runs*; this view proves what runs is
+/// *precise*.
 ///
 /// Bounds are high-probability canonical-embedding bounds (NoiseModel in
 /// core/CostModel.h), accumulated linearly where real noise cancels in
@@ -44,18 +44,13 @@
 #define CHET_CORE_NOISEANALYSIS_H
 
 #include "core/Compiler.h"
-#include "hisa/RangeNoiseBackend.h"
+#include "hisa/AuditBackend.h"
 
 #include <map>
 #include <string>
 #include <vector>
 
 namespace chet {
-
-struct NoiseAnalysisOptions {
-  /// Bound on |input slot value| (the zoo's images live in [-0.5, 0.5]).
-  double InputAbs = 0.5;
-};
 
 /// Per-layer row of the noise report, in evaluation order. Row 0 is the
 /// synthetic "input packing" node (encryption happens before the first
@@ -90,16 +85,14 @@ struct NoiseReport {
 /// intermediate cap, weight/bias magnitudes) computed from the
 /// circuit's actual weights. Exposed for tests and for reuse by future
 /// passes (bootstrap placement needs the same ranges).
-std::map<int, RangeNoiseNodeEnv> rangeEnvelopes(const TensorCircuit &Circ,
-                                                double InputAbs);
+std::map<int, RangeEnvelope> rangeEnvelopes(const TensorCircuit &Circ,
+                                            double InputAbs);
 
-/// Runs the full analysis of \p Circ as compiled by \p Compiled.
-/// Value-agnostic and cheap (no encryption, no slot vectors); safe to
-/// run on every compile. Throws only on structural misuse the kernels
-/// reject (which PostCompileVerify would have reported first).
+/// Analyzes \p Circ as compiled by \p Compiled (one audit pass).
+/// Value-agnostic and cheap (no encryption, no slot vectors). Throws
+/// only on structural misuse the kernels reject.
 NoiseReport analyzeNoise(const TensorCircuit &Circ,
-                         const CompiledCircuit &Compiled,
-                         const NoiseAnalysisOptions &Options = {});
+                         const CompiledCircuit &Compiled);
 
 } // namespace chet
 

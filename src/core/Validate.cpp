@@ -6,6 +6,8 @@
 
 #include "core/Validate.h"
 
+#include "hisa/LevelScale.h"
+
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -83,76 +85,70 @@ std::vector<int> chet::missingRotationSteps(const std::set<int> &Required,
                                             size_t Slots) {
   std::vector<int> Missing;
   for (int Step : Required) {
-    int64_t S = Step % static_cast<int64_t>(Slots);
-    if (S < 0)
-      S += Slots;
-    if (S == 0 || Available.count(static_cast<int>(S)))
+    int S = normalizeRotation(Step, Slots);
+    if (S == 0 || Available.count(S))
       continue;
-    // Power-of-two fallback over the shorter direction, exactly as the
-    // backends decompose (Section 2.4).
-    int64_t Remaining = S <= static_cast<int64_t>(Slots / 2)
-                            ? S
-                            : S - static_cast<int64_t>(Slots);
-    int Direction = Remaining >= 0 ? 1 : -1;
-    uint64_t Mag =
-        static_cast<uint64_t>(Remaining >= 0 ? Remaining : -Remaining);
     bool Covered = true;
-    for (int Bit = 0; Mag != 0; ++Bit, Mag >>= 1) {
-      if (!(Mag & 1))
-        continue;
-      int64_t Hop = static_cast<int64_t>(Direction) * (int64_t(1) << Bit);
-      int64_t Norm = ((Hop % static_cast<int64_t>(Slots)) +
-                      static_cast<int64_t>(Slots)) %
-                     static_cast<int64_t>(Slots);
-      if (!Available.count(static_cast<int>(Norm))) {
-        Covered = false;
-        break;
-      }
-    }
+    forEachRotationHop(S, Slots, [&](int Hop) {
+      Covered = Covered && Available.count(Hop);
+    });
     if (!Covered)
       Missing.push_back(Step);
   }
   return Missing;
 }
 
-namespace {
+std::vector<uint64_t>
+chet::detail::candidateChain(const CompilerOptions &Options) {
+  // The narrow-chain policy caps scale primes at the packed-NTT word
+  // bound; the scalePrimeBits floor of 29 keeps the cap inside the
+  // [29, 30] range where the q = 1 mod 2^17 class still holds enough
+  // primes.
+  int ScaleBits = scalePrimeBits(Options.Scales);
+  if (Options.Scheme == SchemeKind::RnsCkks &&
+      narrowChainRequested(Options.ChainWidth))
+    ScaleBits = std::min(ScaleBits, kNarrowPrimeBits);
+  return RnsCkksParams::candidateChain(65, Options.FirstPrimeBits, ScaleBits);
+}
 
-/// Per-policy feasibility replay of the compiler's phase-1 analysis.
-/// Appends every violation it can attribute to this policy.
-void validatePolicy(const TensorCircuit &Circ, const CompilerOptions &Options,
-                    LayoutPolicy Policy,
-                    const std::vector<uint64_t> &ScaleCandidates,
-                    std::vector<CircuitDiagnostic> &Out) {
-  auto Diag = [&](ErrorCode Code, const std::string &Message) {
-    Out.push_back({Code, Policy, "", Message});
+std::vector<LayoutPolicy>
+chet::detail::candidatePolicies(const CompilerOptions &Options) {
+  if (!Options.SearchLayouts)
+    return {Options.FixedPolicy};
+  return {std::begin(kAllLayoutPolicies), std::end(kAllLayoutPolicies)};
+}
+
+chet::detail::PolicySizing
+chet::detail::sizePolicy(const TensorCircuit &Circ,
+                         const CompilerOptions &Options, LayoutPolicy Policy,
+                         const std::vector<uint64_t> &ScaleCandidates) {
+  PolicySizing Sizing;
+  auto Fail = [&](ErrorCode Code, std::string Message) {
+    Sizing.Violation = CircuitDiagnostic{Code, Policy, "", std::move(Message)};
+    return Sizing;
   };
 
   // Hard ring-dimension ceiling: the encoder tops out at LogN = 17 and
   // the security table at LogN = 16; MaxLogN may be tighter still.
   int LogNCeil = std::min(Options.MaxLogN, 16);
-
-  int DataLogN = detail::minLogNForData(Circ);
-  if (DataLogN > LogNCeil) {
-    Diag(ErrorCode::LayoutMismatch,
-         formatError("the padded input image needs LogN >= ", DataLogN,
-                     " to fit one ciphertext, but the ring-dimension bound "
-                     "is ",
-                     LogNCeil));
-    return; // nothing below can run without a workable ring
-  }
+  int &LogN = Sizing.LogN;
+  LogN = minLogNForData(Circ);
+  if (LogN > LogNCeil)
+    return Fail(ErrorCode::LayoutMismatch,
+                formatError("the padded input image needs LogN >= ", LogN,
+                            " to fit one ciphertext, but the ring-dimension "
+                            "bound is ",
+                            LogNCeil));
 
   const OpNode &In = Circ.ops().front();
   Tensor3 Dummy(In.C, In.H, In.W);
-
-  int LogN = DataLogN;
   for (;;) {
     AnalysisConfig C1;
     C1.Scheme = Options.Scheme;
     C1.LogN = LogN;
     C1.ScalePrimeCandidates = ScaleCandidates;
     AnalysisBackend B1(C1);
-
-    double Need = 0, LogQP = 0;
+    double Need = 0;
     try {
       TensorLayout L = circuitInputLayout(Circ, Policy, B1.slotCount());
       auto Enc = encryptTensor(B1, Dummy, L, Options.Scales);
@@ -161,62 +157,64 @@ void validatePolicy(const TensorCircuit &Circ, const CompilerOptions &Options,
     } catch (const ChetError &E) {
       // Structural misuse a kernel rejected (shape/layout) -- a
       // compile-time fact, since the analysis touches no real data.
-      Diag(E.code(), E.what());
-      return;
+      return Fail(E.code(), E.what());
     }
 
+    double LogQ = 0, LogQP = 0;
     if (Options.Scheme == SchemeKind::RnsCkks) {
-      int Consumed = B1.maxConsumedPrimes();
+      int Consumed = Sizing.ConsumedPrimes = B1.maxConsumedPrimes();
       double ConsumedBits = 0;
       for (int I = 0; I < Consumed; ++I)
         ConsumedBits += std::log2(static_cast<double>(ScaleCandidates[I]));
+      // Reserve enough unconsumed modulus (q_0 plus extra primes) to hold
+      // the output at its scale plus the precision headroom.
       double Reserve = Options.FirstPrimeBits;
-      int Extra = 0;
-      bool Exhausted = false;
-      while (Reserve < Need) {
+      int &Extra = Sizing.ExtraPrimes;
+      for (Extra = 0; Reserve < Need; ++Extra) {
         size_t Index = static_cast<size_t>(Consumed) + Extra;
-        if (Index >= ScaleCandidates.size()) {
-          Diag(ErrorCode::LevelExhausted,
-               formatError("the rescale chain consumes ", Consumed,
-                           " scaling primes and the output headroom needs ",
-                           Extra + 1,
-                           " more, but the global candidate modulus list "
-                           "holds only ",
-                           ScaleCandidates.size(), " primes"));
-          Exhausted = true;
-          break;
-        }
+        if (Index >= ScaleCandidates.size())
+          return Fail(ErrorCode::LevelExhausted,
+                      formatError("the rescale chain consumes ", Consumed,
+                                  " scaling primes and the output headroom "
+                                  "needs ",
+                                  Extra + 1,
+                                  " more, but the global candidate modulus "
+                                  "list holds only ",
+                                  ScaleCandidates.size(), " primes"));
         Reserve += std::log2(static_cast<double>(ScaleCandidates[Index]));
-        ++Extra;
       }
-      if (Exhausted)
-        return;
-      LogQP = ConsumedBits + Reserve + Options.FirstPrimeBits;
+      LogQ = ConsumedBits + Reserve;
+      LogQP = LogQ + Options.FirstPrimeBits;
+      Sizing.ChainPrimes = 1 + Consumed + Extra;
     } else {
-      LogQP = 2 * std::ceil(B1.maxLogConsumed() + Need);
+      LogQ = std::ceil(B1.maxLogConsumed() + Need);
+      LogQP = 2 * LogQ; // LogSpecial = LogQ, HEAAN style
     }
 
     int SecLogN = minLogNForLogQ(static_cast<int>(std::ceil(LogQP)),
                                  Options.Security);
     if (SecLogN == -1 || std::max(LogN, SecLogN) > LogNCeil) {
-      Diag(ErrorCode::SecurityBudgetExceeded,
-           formatError(
-               "the circuit needs logQP = ",
-               static_cast<int>(std::ceil(LogQP)),
-               " bits of modulus, but the security table allows at most ",
-               maxLogQForSecurity(LogNCeil, Options.Security),
-               " bits at the largest permissible ring dimension LogN = ",
-               LogNCeil));
-      return;
+      Sizing.LogQ = LogQ;
+      Sizing.LogQP = LogQP;
+      return Fail(
+          ErrorCode::SecurityBudgetExceeded,
+          formatError(
+              "the circuit needs logQP = ",
+              static_cast<int>(std::ceil(LogQP)),
+              " bits of modulus, but the security table allows at most ",
+              maxLogQForSecurity(LogNCeil, Options.Security),
+              " bits at the largest permissible ring dimension LogN = ",
+              LogNCeil));
     }
     int NewLogN = std::max(LogN, SecLogN);
-    if (NewLogN == LogN)
-      return; // feasible: fixpoint reached with no violations
-    LogN = NewLogN;
+    if (NewLogN == LogN) {
+      Sizing.LogQ = LogQ;
+      Sizing.LogQP = LogQP;
+      return Sizing; // feasible: fixpoint reached with no violations
+    }
+    LogN = NewLogN; // slot-dependent choices change; re-analyze
   }
 }
-
-} // namespace
 
 ValidationReport chet::validateCircuit(const TensorCircuit &Circ,
                                        const CompilerOptions &Options) {
@@ -229,30 +227,15 @@ ValidationReport chet::validateCircuit(const TensorCircuit &Circ,
     return Report;
   }
 
-  // Mirrors compileCircuit's candidate list, including the narrow-chain
-  // scale-prime cap, so diagnostics describe the chain that would be
-  // built.
-  int ScaleBits = detail::scalePrimeBits(Options.Scales);
-  if (Options.Scheme == SchemeKind::RnsCkks &&
-      narrowChainRequested(Options.ChainWidth))
-    ScaleBits = std::min(ScaleBits, kNarrowPrimeBits);
-  std::vector<uint64_t> Chain =
-      RnsCkksParams::candidateChain(65, Options.FirstPrimeBits, ScaleBits);
+  std::vector<uint64_t> Chain = detail::candidateChain(Options);
   std::vector<uint64_t> ScaleCandidates(Chain.begin() + 1, Chain.end());
-
-  std::vector<LayoutPolicy> Policies;
-  if (Options.SearchLayouts)
-    Policies.assign(std::begin(kAllLayoutPolicies),
-                    std::end(kAllLayoutPolicies));
-  else
-    Policies.push_back(Options.FixedPolicy);
-
-  for (LayoutPolicy Policy : Policies) {
+  for (LayoutPolicy Policy : detail::candidatePolicies(Options)) {
     ++Report.PoliciesChecked;
-    size_t Before = Report.Diagnostics.size();
-    validatePolicy(Circ, Options, Policy, ScaleCandidates,
-                   Report.Diagnostics);
-    if (Report.Diagnostics.size() == Before)
+    detail::PolicySizing Sizing =
+        detail::sizePolicy(Circ, Options, Policy, ScaleCandidates);
+    if (Sizing.Violation)
+      Report.Diagnostics.push_back(std::move(*Sizing.Violation));
+    else
       ++Report.FeasiblePolicies;
   }
   return Report;

@@ -31,6 +31,7 @@
 #include "core/Compiler.h"
 #include "support/Error.h"
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -84,6 +85,32 @@ namespace detail {
 int minLogNForData(const TensorCircuit &Circ);
 /// Bit size of the candidate scaling primes for a scale configuration.
 int scalePrimeBits(const ScaleConfig &S);
+/// The global pre-generated candidate modulus list (Section 5.2): the
+/// base prime, then the scaling-prime candidates in consumption order.
+std::vector<uint64_t> candidateChain(const CompilerOptions &Options);
+/// The layout policies a compile with \p Options considers.
+std::vector<LayoutPolicy> candidatePolicies(const CompilerOptions &Options);
+
+/// Outcome of the compiler's phase 1 for one layout policy: a sizing, or
+/// the one violation that makes the policy infeasible (the sizing fields
+/// then describe how far the fixpoint got).
+struct PolicySizing {
+  int LogN = 0;
+  double LogQ = 0;
+  double LogQP = 0;
+  int ChainPrimes = 0;    ///< RNS: base + reserve + consumed primes.
+  int ConsumedPrimes = 0; ///< RNS: candidates the rescale chain consumes.
+  int ExtraPrimes = 0;    ///< RNS: reserve primes for output headroom.
+  std::optional<CircuitDiagnostic> Violation;
+};
+
+/// Phase 1 (Section 5.2): the modulus analysis for one layout policy,
+/// iterating the ring dimension to a fixpoint between data fit, modulus
+/// consumption, and the security table (the interdependence discussed
+/// in Section 3.1). compileCircuit and validateCircuit both run it.
+PolicySizing sizePolicy(const TensorCircuit &Circ,
+                        const CompilerOptions &Options, LayoutPolicy Policy,
+                        const std::vector<uint64_t> &ScaleCandidates);
 } // namespace detail
 
 } // namespace chet

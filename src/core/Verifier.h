@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The static verifier: re-interprets a compiled circuit over the
-/// VerifierBackend's abstract domain and reports *every* violation at
-/// once, each with full provenance (HISA instruction -> tensor-circuit
-/// node -> network layer). Where validateCircuit answers "can this
-/// circuit be compiled at all?", verifyCircuit vets a concrete compiled
-/// artifact -- its actual modulus chain, its actual rotation-key set --
-/// and additionally lints for wasted FHE work (dead ciphertexts,
-/// redundant rotations, multiply-depth hotspots).
+/// The static verifier: the post-compile audit's (Audit.h) view of a
+/// compiled circuit that reports *every* violation at once, each with
+/// full provenance (HISA instruction -> tensor-circuit node -> network
+/// layer). Where validateCircuit answers "can this circuit be compiled at
+/// all?", verifyCircuit vets a concrete compiled artifact -- its actual
+/// modulus chain, its actual rotation-key set -- and additionally lints
+/// for wasted FHE work (dead ciphertexts, redundant rotations,
+/// multiply-depth hotspots).
 ///
 /// Checks and severities:
 ///
@@ -24,11 +24,11 @@
 ///   warning RedundantRotation  back-to-back rotations, fusible
 ///   note    DepthHotspot       one layer eats a big share of the chain
 ///
-/// compileCircuit runs this pass by default (CompilerOptions::
-/// PostCompileVerify): errors abort through the InfeasibleCircuit path,
-/// warnings and notes ride on CompiledCircuit::Warnings. Services vet
-/// circuits directly via either overload below; neither touches key
-/// material or ciphertext data.
+/// compileCircuit runs the audit on every compile; with
+/// CompilerOptions::PostCompileVerify (the default) errors abort through
+/// the InfeasibleCircuit path and warnings and notes ride on
+/// CompiledCircuit::Warnings. Services vet circuits directly via either
+/// overload below; neither touches key material or ciphertext data.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,27 +36,12 @@
 #define CHET_CORE_VERIFIER_H
 
 #include "core/Compiler.h"
-#include "hisa/VerifierBackend.h"
+#include "hisa/AuditBackend.h"
 
 #include <string>
 #include <vector>
 
 namespace chet {
-
-/// Knobs of the verification pass.
-struct VerifierOptions {
-  /// Relative tolerance of the addition scale check (matches the
-  /// analysis backend's 1e-6).
-  double ScaleTolerance = 1e-6;
-  /// A layer consuming at least this many levels of the modulus chain on
-  /// any single ciphertext (RNS: scaling primes; CKKS: the equivalent in
-  /// image-scale bits) earns a DepthHotspot note. The default flags the
-  /// degree-2 activations (scalar mul + squaring = 2 levels) while
-  /// leaving single-rescale linear layers silent.
-  int DepthHotspotLevels = 2;
-  bool CheckDeadNodes = true;
-  bool CheckRedundantRotations = true;
-};
 
 /// The outcome of verifying one compiled circuit: the deduplicated
 /// diagnostics and the per-layer activity table the hotspot check is
@@ -65,7 +50,7 @@ struct VerificationReport {
   std::vector<VerifierDiagnostic> Diagnostics;
   /// Per-layer multiply/rotate/level accounting, in evaluation order
   /// (row 0 is the input packing).
-  std::vector<VerifierNodeStats> LayerDepth;
+  std::vector<AuditNodeStats> LayerDepth;
   LayoutPolicy Policy = LayoutPolicy::AllHW;
 
   size_t errors() const { return count(Severity::Error); }
@@ -94,15 +79,13 @@ private:
 /// scales. Never throws for circuit problems -- they all land in the
 /// report.
 VerificationReport verifyCircuit(const TensorCircuit &Circ,
-                                 const CompiledCircuit &Compiled,
-                                 const VerifierOptions &Options = {});
+                                 const CompiledCircuit &Compiled);
 
 /// Convenience for services: compiles \p Circ (with the post-compile
 /// pass disabled to avoid double work) and verifies the result. A
 /// compilation failure becomes an error diagnostic in the report.
 VerificationReport verifyCircuit(const TensorCircuit &Circ,
-                                 const CompilerOptions &Options,
-                                 const VerifierOptions &VOptions = {});
+                                 const CompilerOptions &Options);
 
 } // namespace chet
 

@@ -86,7 +86,7 @@ concept HisaBackend = requires(B Backend, typename B::Ct C,
 /// Optional backend extension: a provenance sink is told which tensor-
 /// circuit node the subsequent HISA instructions belong to. The evaluator
 /// calls beginNode(id, label) before emitting each node's kernel, letting
-/// diagnostic backends (VerifierBackend) attribute every instruction to a
+/// diagnostic backends (AuditBackend) attribute every instruction to a
 /// network layer without the kernels knowing anything about provenance.
 template <typename B>
 concept HisaProvenanceSink =

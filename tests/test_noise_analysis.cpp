@@ -5,19 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests the static range/noise-budget analysis (NoiseAnalysis.h and
-/// hisa/RangeNoiseBackend.h): backend growth rules against hand-computed
-/// closed forms, circuit-level bounds against analytic L1 envelopes, a
-/// deliberately under-scaled compile failing with PrecisionBound and
-/// layer provenance, soundness against a real encrypted run, determinism
-/// across thread counts, and the scale search's static accept pruning.
+/// Tests the static range/noise-budget analysis (NoiseAnalysis.h and the
+/// range/noise facet of hisa/AuditBackend.h): growth rules against
+/// hand-computed closed forms, circuit-level bounds against analytic L1
+/// envelopes, a deliberately under-scaled compile failing with
+/// PrecisionBound and layer provenance, soundness against a real
+/// encrypted run, determinism across thread counts, and the scale
+/// search's static accept pruning.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/NoiseAnalysis.h"
 
 #include "core/Compiler.h"
-#include "hisa/RangeNoiseBackend.h"
+#include "hisa/AuditBackend.h"
 #include "nn/Networks.h"
 #include "runtime/ReferenceOps.h"
 #include "support/ThreadPool.h"
@@ -38,22 +39,24 @@ namespace {
 // interval arithmetic.
 //===----------------------------------------------------------------------===//
 
-RangeNoiseBackendConfig rawConfig() {
-  RangeNoiseBackendConfig C;
+/// Stock power-of-two rotation keys, so every rotation is servable and
+/// the verifier facet stays silent.
+AuditConfig rawConfig() {
+  AuditConfig C;
   C.Rns = true;
   C.LogN = 13;
   C.ScalePrimeCandidates = {uint64_t(1) << 25, uint64_t(1) << 25};
+  C.StockPow2Keys = true;
   C.Noise = NoiseModel::create(SchemeKind::RnsCkks, 13,
                                {uint64_t(1) << 60, uint64_t(1) << 25,
                                 uint64_t(1) << 25},
                                uint64_t(1) << 60, 0);
-  C.InputAbs = 0.5;
   return C;
 }
 
-TEST(RangeNoiseBackend, EncryptCarriesFreshNoiseAndEncodeQuant) {
-  RangeNoiseBackendConfig Config = rawConfig();
-  RangeNoiseBackend B(Config);
+TEST(AuditBackend, EncryptCarriesFreshNoiseAndEncodeQuant) {
+  AuditConfig Config = rawConfig();
+  AuditBackend B(Config);
   double Scale = std::ldexp(1.0, 25);
   auto P = B.encode({}, Scale);
   auto C = B.encrypt(P);
@@ -63,9 +66,9 @@ TEST(RangeNoiseBackend, EncryptCarriesFreshNoiseAndEncodeQuant) {
   EXPECT_DOUBLE_EQ(B.scaleOf(C), Scale);
 }
 
-TEST(RangeNoiseBackend, SingleMulChainMatchesClosedForm) {
-  RangeNoiseBackendConfig Config = rawConfig();
-  RangeNoiseBackend B(Config);
+TEST(AuditBackend, SingleMulChainMatchesClosedForm) {
+  AuditConfig Config = rawConfig();
+  AuditBackend B(Config);
   double Scale = std::ldexp(1.0, 25);
   auto A = B.encrypt(B.encode({}, Scale));
   auto C = B.encrypt(B.encode({}, Scale));
@@ -93,9 +96,9 @@ TEST(RangeNoiseBackend, SingleMulChainMatchesClosedForm) {
                    PreNoise + Config.Noise.rescaleNoise() / Scale);
 }
 
-TEST(RangeNoiseBackend, RotationLadderChargesOneKeySwitchPerHop) {
-  RangeNoiseBackendConfig Config = rawConfig();
-  RangeNoiseBackend B(Config);
+TEST(AuditBackend, RotationLadderChargesOneKeySwitchPerHop) {
+  AuditConfig Config = rawConfig();
+  AuditBackend B(Config);
   double Scale = std::ldexp(1.0, 25);
   auto C = B.encrypt(B.encode({}, Scale));
   double Base = C.NoiseErr;
@@ -112,9 +115,29 @@ TEST(RangeNoiseBackend, RotationLadderChargesOneKeySwitchPerHop) {
   EXPECT_DOUBLE_EQ(C.NoiseErr, Before);
 }
 
-TEST(RangeNoiseBackend, AdditionSumsBoundsAndErrors) {
-  RangeNoiseBackendConfig Config = rawConfig();
-  RangeNoiseBackend B(Config);
+TEST(AuditBackend, StockKeyRotationChargesEveryPowerOfTwoHop) {
+  // Under stock power-of-two keys a rotation by 7 = 4 + 2 + 1 runs three
+  // key switches in the real backends; the bound must charge all three.
+  AuditConfig Config = rawConfig();
+  AuditBackend B(Config);
+  double Scale = std::ldexp(1.0, 25);
+  auto C = B.encrypt(B.encode({}, Scale));
+  double Base = C.NoiseErr;
+  B.rotLeftAssign(C, 7);
+  EXPECT_DOUBLE_EQ(C.NoiseErr,
+                   Base + 3 * Config.Noise.keySwitchNoise() / Scale);
+  // The hoisted fan-out charges each amount its own hop count.
+  auto Out = B.rotLeftMany(C, {7, 8});
+  EXPECT_DOUBLE_EQ(Out[0].NoiseErr,
+                   C.NoiseErr + 3 * Config.Noise.keySwitchNoise() / Scale);
+  EXPECT_DOUBLE_EQ(Out[1].NoiseErr,
+                   C.NoiseErr + Config.Noise.keySwitchNoise() / Scale);
+  EXPECT_TRUE(B.events().empty());
+}
+
+TEST(AuditBackend, AdditionSumsBoundsAndErrors) {
+  AuditConfig Config = rawConfig();
+  AuditBackend B(Config);
   double Scale = std::ldexp(1.0, 25);
   auto A = B.encrypt(B.encode({}, Scale));
   auto C = B.encrypt(B.encode({}, Scale));
@@ -126,14 +149,14 @@ TEST(RangeNoiseBackend, AdditionSumsBoundsAndErrors) {
   EXPECT_DOUBLE_EQ(A.Abs, 3.0);
 }
 
-TEST(RangeNoiseBackend, NodeCapClampsIntervalButNotError) {
-  RangeNoiseBackendConfig Config = rawConfig();
-  RangeNoiseNodeEnv Env;
+TEST(AuditBackend, NodeCapClampsIntervalButNotError) {
+  AuditConfig Config = rawConfig();
+  RangeEnvelope Env;
   Env.OutAbs = 0.75;
   Env.CapAbs = 0.75;
   Config.NodeEnv[4] = Env;
-  RangeNoiseBackend B(Config);
-  // Encrypt as input packing (outside any node, so InputAbs applies),
+  AuditBackend B(Config);
+  // Encrypt as input packing (outside any node, so kInputAbs applies),
   // then enter the capped node -- inside a node a data-scale encode is
   // classified as a bias, and this env has none.
   double Scale = std::ldexp(1.0, 25);
@@ -167,9 +190,12 @@ TensorCircuit convActCircuit(double W, double Bias) {
   return Circ;
 }
 
+/// Small-ring parameters: these tests are about noise soundness, not
+/// security, and the 128-bit rings cost gigabytes of Galois keys.
 CompilerOptions noiseOptions(int ScaleExp = 30) {
   CompilerOptions O;
   O.Scheme = SchemeKind::RnsCkks;
+  O.Security = SecurityLevel::None;
   O.Scales = ScaleConfig::fromExponents(ScaleExp, ScaleExp, ScaleExp,
                                         std::min(ScaleExp, 16));
   return O;

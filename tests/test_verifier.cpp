@@ -156,28 +156,28 @@ TEST(Verifier, ReportsMissingRotationKey) {
 }
 
 /// Hoisted fan-out with a missing key: issue a rotLeftMany directly at
-/// the verifier's abstract machine with one unservable amount. The
+/// the audit's abstract machine with one unservable amount. The
 /// diagnostic must carry the rotLeftMany op name, the current node, and
 /// an error per batch (deduplicated), while the servable amounts pass.
 TEST(Verifier, ReportsUnservableHoistedAmountWithProvenance) {
-  VerifierBackendConfig VC;
+  AuditConfig VC;
   VC.Rns = true;
   VC.LogN = 12;
   VC.ScalePrimeCandidates = {uint64_t(1) << 30};
   VC.AvailableRotationSteps = {1, 2, 3};
   VC.StockPow2Keys = false;
-  VerifierBackend VB(VC);
+  AuditBackend VB(VC);
   VB.beginNode(7, "conv_taps");
 
-  VerifierBackend::Ct C;
+  AuditBackend::Ct C;
   C.Scale = double(uint64_t(1) << 30);
   // Amounts 1..3 are keyed; 5 = 4+1 has no key for the 4-hop, so it is
   // unservable by decomposition as well.
-  std::vector<VerifierBackend::Ct> Out = VB.rotLeftMany(C, {1, 2, 5, 3});
+  std::vector<AuditBackend::Ct> Out = VB.rotLeftMany(C, {1, 2, 5, 3});
   ASSERT_EQ(Out.size(), 4u);
 
   ASSERT_EQ(VB.events().size(), 1u);
-  const VerifierEvent &E = VB.events()[0];
+  const AuditEvent &E = VB.events()[0];
   EXPECT_EQ(E.Sev, Severity::Error);
   EXPECT_EQ(E.Code, ErrorCode::MissingRotationKey);
   EXPECT_EQ(std::string(E.HisaOp), "rotLeftMany");
