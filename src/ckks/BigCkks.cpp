@@ -282,6 +282,20 @@ void BigCkksBackend::generateRotationKeys(const std::vector<int> &Steps) {
   }
 }
 
+uint64_t BigCkksBackend::keyBytes() const {
+  uint64_t Bytes = (PkB.size() + PkA.size()) * sizeof(BigInt);
+  auto Count = [&](const EvalKey &Key) {
+    for (const auto &P : Key.B)
+      Bytes += P.size() * sizeof(uint64_t);
+    for (const auto &P : Key.A)
+      Bytes += P.size() * sizeof(uint64_t);
+  };
+  Count(RelinKey);
+  for (const auto &[Elt, Key] : GaloisKeys)
+    Count(Key);
+  return Bytes;
+}
+
 void BigCkksBackend::clearRotationKeys() {
   GaloisKeys.clear();
   GaloisPerms.clear();

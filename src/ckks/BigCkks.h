@@ -69,7 +69,7 @@ public:
   size_t degree() const { return N; }
 
   /// Number of basis primes needed to hold products of \p Bits magnitude.
-  int primesForBits(int Bits) const { return (Bits + 61) / 59 + 1; }
+  static int primesForBits(int Bits) { return (Bits + 61) / 59 + 1; }
 
   /// Ensures at least \p Count primes and tables exist.
   void ensurePrimes(int Count);
@@ -228,6 +228,11 @@ public:
   };
   KeySwitchNttStats keySwitchNttStats() const;
   void resetKeySwitchNttStats();
+
+  /// Bytes of evaluation key material held: the public key, the
+  /// relinearization key and every Galois key, counted from the stored
+  /// polynomials.
+  uint64_t keyBytes() const;
 
 private:
   /// An evaluation key modulo P*Q, cached as its RNS/NTT decomposition

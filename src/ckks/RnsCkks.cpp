@@ -12,6 +12,7 @@
 #include "support/LimbPool.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -43,8 +44,47 @@ std::vector<uint64_t> RnsCkksParams::candidateChain(int Count, int FirstBits,
   return Chain;
 }
 
+/// The first \p Count NTT-friendly \p Bits-bit primes (LogN = 16
+/// congruence, descending), generated once per width and extended on
+/// demand.
+static std::vector<uint64_t> specialCandidates(int Bits, size_t Count) {
+  static std::mutex Mu;
+  static std::map<int, std::vector<uint64_t>> Cache;
+  std::lock_guard<std::mutex> Lock(Mu);
+  std::vector<uint64_t> &List = Cache[Bits];
+  if (List.size() < Count)
+    List = generateNttPrimes(Bits, /*LogN=*/16, static_cast<int>(Count));
+  return std::vector<uint64_t>(List.begin(), List.begin() + Count);
+}
+
 uint64_t RnsCkksParams::candidateSpecial(int Bits) {
-  return generateNttPrimes(Bits, /*LogN=*/16, 1)[0];
+  return specialCandidates(Bits, 1)[0];
+}
+
+std::vector<uint64_t>
+RnsCkksParams::specialPrimesFor(const std::vector<uint64_t> &ChainPrimes,
+                                int LogN, SecurityLevel Security, int Bits) {
+  size_t ChainLen = std::max<size_t>(ChainPrimes.size(), 1);
+  RnsCkksParams Chain;
+  Chain.ChainPrimes = ChainPrimes;
+  double Spare = maxLogQForSecurity(LogN, Security) - Chain.logQ();
+  size_t MaxAlpha = Spare >= Bits ? static_cast<size_t>(Spare / Bits) : 1;
+  MaxAlpha = std::min(MaxAlpha, ChainLen);
+  auto KeyWords = [&](size_t A) {
+    return (ChainLen + A - 1) / A * (ChainLen + A);
+  };
+  size_t Alpha = 1;
+  for (size_t A = 2; A <= MaxAlpha; ++A)
+    if (KeyWords(A) < KeyWords(Alpha))
+      Alpha = A;
+  // Skip candidates the chain already uses (a chain of Bits-bit scale
+  // primes draws from the same sequence).
+  std::vector<uint64_t> Out;
+  for (uint64_t P : specialCandidates(Bits, Alpha + ChainPrimes.size()))
+    if (Out.size() < Alpha && std::find(ChainPrimes.begin(), ChainPrimes.end(),
+                                        P) == ChainPrimes.end())
+      Out.push_back(P);
+  return Out;
 }
 
 RnsCkksParams RnsCkksParams::create(int LogN, int Levels, int FirstBits,
@@ -52,9 +92,16 @@ RnsCkksParams RnsCkksParams::create(int LogN, int Levels, int FirstBits,
   RnsCkksParams P;
   P.LogN = LogN;
   P.ChainPrimes = candidateChain(Levels + 1, FirstBits, ScaleBits);
-  P.SpecialPrime = candidateSpecial(FirstBits);
+  P.SpecialPrimes = specialPrimesFor(P.ChainPrimes, LogN, Security, FirstBits);
   P.Security = Security;
   return P;
+}
+
+bool RnsCkksParams::primesDistinct() const {
+  std::vector<uint64_t> All = ChainPrimes;
+  All.insert(All.end(), SpecialPrimes.begin(), SpecialPrimes.end());
+  std::sort(All.begin(), All.end());
+  return std::adjacent_find(All.begin(), All.end()) == All.end();
 }
 
 double RnsCkksParams::logQ() const {
@@ -65,7 +112,10 @@ double RnsCkksParams::logQ() const {
 }
 
 double RnsCkksParams::logQP() const {
-  return logQ() + std::log2(static_cast<double>(SpecialPrime));
+  double Bits = logQ();
+  for (uint64_t P : SpecialPrimes)
+    Bits += std::log2(static_cast<double>(P));
+  return Bits;
 }
 
 //===----------------------------------------------------------------------===//
@@ -74,12 +124,15 @@ double RnsCkksParams::logQP() const {
 
 RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
     : Params(ParamsIn), LogN(ParamsIn.LogN), Degree(size_t(1) << ParamsIn.LogN),
-      ChainLen(ParamsIn.ChainPrimes.size()), Encoder(ParamsIn.LogN),
+      ChainLen(ParamsIn.ChainPrimes.size()),
+      Alpha(ParamsIn.SpecialPrimes.size()), Encoder(ParamsIn.LogN),
       Rng(ParamsIn.Seed) {
   CHET_CHECK(ChainLen >= 1, InvalidArgument,
              "RNS-CKKS parameters need at least one chain prime");
-  CHET_CHECK(Params.SpecialPrime != 0, InvalidArgument,
-             "RNS-CKKS parameters are missing the special prime");
+  CHET_CHECK(Alpha >= 1, InvalidArgument,
+             "RNS-CKKS parameters are missing the special primes");
+  CHET_CHECK(Params.primesDistinct(), InvalidArgument,
+             "RNS-CKKS chain and special primes must be pairwise distinct");
   CHET_CHECK(Params.logQP() <= maxLogQForSecurity(LogN, Params.Security),
              SecurityBudgetExceeded,
              "parameters violate the requested security level: logQP = ",
@@ -91,28 +144,63 @@ RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
     ChainMods.emplace_back(Q);
     ChainNtt.push_back(std::make_unique<NttTables>(LogN, ChainMods.back()));
   }
-  SpecialMod = Modulus(Params.SpecialPrime);
-  SpecialNtt = std::make_unique<NttTables>(LogN, SpecialMod);
+  for (uint64_t P : Params.SpecialPrimes) {
+    SpecialMods.emplace_back(P);
+    SpecialNtt.push_back(
+        std::make_unique<NttTables>(LogN, SpecialMods.back()));
+  }
 
-  SpecialModChain.resize(ChainLen);
-  SpecialInvModChain.resize(ChainLen);
+  // (product of Members except the one at Skip) mod Q.
+  auto HatMod = [](const uint64_t *Members, size_t Count, size_t Skip,
+                   const Modulus &Q) {
+    uint64_t V = 1;
+    for (size_t I = 0; I < Count; ++I)
+      if (I != Skip)
+        V = Q.mulMod(V, Q.reduce(Members[I]));
+    return V;
+  };
+  const size_t Moduli = ChainLen + Alpha;
+  DigitBases.resize(Params.digitsAt(maxLevel()));
+  for (size_t G = 0; G < DigitBases.size(); ++G) {
+    const uint64_t *First = Params.ChainPrimes.data() + G * Alpha;
+    for (size_t Size = 1; Size <= std::min(Alpha, ChainLen - G * Alpha);
+         ++Size) {
+      DigitBasis D;
+      for (size_t I = 0; I < Size; ++I) {
+        const Modulus &Qi = ChainMods[G * Alpha + I];
+        D.HatInv.push_back(invMod(HatMod(First, Size, I, Qi), Qi));
+        for (size_t M = 0; M < Moduli; ++M)
+          D.HatMod.push_back(HatMod(First, Size, I, modAt(M)));
+      }
+      DigitBases[G].push_back(std::move(D));
+    }
+  }
+  const uint64_t *Special = Params.SpecialPrimes.data();
+  for (size_t K = 0; K < Alpha; ++K) {
+    PHatInv.push_back(
+        invMod(HatMod(Special, Alpha, K, SpecialMods[K]), SpecialMods[K]));
+    for (size_t J = 0; J < ChainLen; ++J)
+      PHatModChain.push_back(HatMod(Special, Alpha, K, ChainMods[J]));
+  }
   for (size_t J = 0; J < ChainLen; ++J) {
-    SpecialModChain[J] = ChainMods[J].reduce(Params.SpecialPrime);
-    SpecialInvModChain[J] = invMod(SpecialModChain[J], ChainMods[J]);
+    const Modulus &Q = ChainMods[J];
+    PModChain.push_back(HatMod(Special, Alpha, Alpha, Q));
+    PNegModChain.push_back(Q.negMod(PModChain[J]));
+    PInvModChain.push_back(invMod(PModChain[J], Q));
   }
   CrtByLevel.resize(ChainLen);
 
   // Secret key.
   SecretTernary = sampleTernaryCoeffs();
-  SecretNtt.resize(ChainLen + 1);
+  SecretNtt.resize(Moduli);
   {
     std::vector<int64_t> Wide(SecretTernary.begin(), SecretTernary.end());
-    parallelFor(0, ChainLen + 1, 1,
+    parallelFor(0, Moduli, 1,
                 [&](size_t J) { SecretNtt[J] = smallToNtt(Wide, J); });
   }
 
   // Public key (b, a) = (-(a s) + e, a) over the chain primes only;
-  // fresh ciphertexts never touch the special prime. All Rng draws happen
+  // fresh ciphertexts never touch the special primes. All Rng draws happen
   // sequentially (in the original order) before the parallel compute so
   // the key material is identical at every thread count.
   PkB.resize(ChainLen);
@@ -129,10 +217,10 @@ RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
           Q.addMod(Q.negMod(Q.mulMod(PkA[J][K], SecretNtt[J][K])), ENtt[K]);
   });
 
-  // Relinearization key: target s^2 over every modulus.
-  std::vector<std::vector<uint64_t>> SquareTarget(ChainLen + 1);
-  parallelFor(0, ChainLen + 1, 1, [&](size_t J) {
-    const Modulus &Q = modAt(J);
+  // Relinearization key: target s^2.
+  std::vector<std::vector<uint64_t>> SquareTarget(ChainLen);
+  parallelFor(0, ChainLen, 1, [&](size_t J) {
+    const Modulus &Q = ChainMods[J];
     SquareTarget[J].resize(Degree);
     for (size_t K = 0; K < Degree; ++K)
       SquareTarget[J][K] = Q.mulMod(SecretNtt[J][K], SecretNtt[J][K]);
@@ -198,42 +286,44 @@ std::vector<uint64_t> RnsCkksBackend::uniformNtt(size_t J) {
 
 RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
     const std::vector<std::vector<uint64_t>> &Target) {
-  assert(Target.size() == ChainLen + 1 && "target must cover all moduli");
+  assert(Target.size() == ChainLen && "target must cover the chain");
+  const size_t Digits = Params.digitsAt(maxLevel());
+  const size_t Moduli = ChainLen + Alpha;
   KSwitchKey Key;
-  Key.B.resize(ChainLen);
-  Key.A.resize(ChainLen);
+  Key.B.resize(Digits);
+  Key.A.resize(Digits);
   // Draw every random sample first, in the exact order the sequential
-  // code consumed them (per digit i: E_i, then A_{i,0..ChainLen}), so the
+  // code consumed them (per digit g: E_g, then A_{g,0..Moduli-1}), so the
   // generated key is identical at every thread count; the NTT/arithmetic
   // work then fans out over (digit, modulus) pairs.
-  std::vector<std::vector<int64_t>> E(ChainLen);
-  std::vector<std::vector<std::vector<uint64_t>>> A(ChainLen);
-  for (size_t I = 0; I < ChainLen; ++I) {
-    Key.B[I].resize((ChainLen + 1) * Degree);
-    Key.A[I].resize((ChainLen + 1) * Degree);
-    E[I] = sampleErrorCoeffs();
-    A[I].resize(ChainLen + 1);
-    for (size_t J = 0; J <= ChainLen; ++J)
-      A[I][J] = uniformNtt(J);
+  std::vector<std::vector<int64_t>> E(Digits);
+  std::vector<std::vector<std::vector<uint64_t>>> A(Digits);
+  for (size_t G = 0; G < Digits; ++G) {
+    Key.B[G].resize(Moduli * Degree);
+    Key.A[G].resize(Moduli * Degree);
+    E[G] = sampleErrorCoeffs();
+    A[G].resize(Moduli);
+    for (size_t J = 0; J < Moduli; ++J)
+      A[G][J] = uniformNtt(J);
   }
-  parallelFor(0, ChainLen * (ChainLen + 1), 1, [&](size_t Flat) {
-    size_t I = Flat / (ChainLen + 1);
-    size_t J = Flat % (ChainLen + 1);
+  parallelFor(0, Digits * Moduli, 1, [&](size_t Flat) {
+    size_t G = Flat / Moduli;
+    size_t J = Flat % Moduli;
     const Modulus &Q = modAt(J);
-    std::vector<uint64_t> ENtt = smallToNtt(E[I], J);
-    const std::vector<uint64_t> &AIJ = A[I][J];
-    uint64_t *BOut = Key.B[I].data() + J * Degree;
-    uint64_t *AOut = Key.A[I].data() + J * Degree;
+    std::vector<uint64_t> ENtt = smallToNtt(E[G], J);
+    const std::vector<uint64_t> &AGJ = A[G][J];
+    uint64_t *BOut = Key.B[G].data() + J * Degree;
+    uint64_t *AOut = Key.A[G].data() + J * Degree;
+    // The gadget term P * Qt_g * target lives only on the primes of group
+    // g: Qt_g vanishes on the other chain primes, P on the special ones.
+    bool InGroup = J < ChainLen && J / Alpha == G;
     for (size_t K = 0; K < Degree; ++K) {
       uint64_t V = Q.addMod(
-          Q.negMod(Q.mulMod(AIJ[K], SecretNtt[J][K])), ENtt[K]);
-      if (J == I) {
-        // Add p * T_i * target; T_i is 1 mod q_i and 0 elsewhere, and
-        // p * T_i vanishes modulo the special prime itself.
-        V = Q.addMod(V, Q.mulMod(SpecialModChain[J], Target[J][K]));
-      }
+          Q.negMod(Q.mulMod(AGJ[K], SecretNtt[J][K])), ENtt[K]);
+      if (InGroup)
+        V = Q.addMod(V, Q.mulMod(PModChain[J], Target[J][K]));
       BOut[K] = V;
-      AOut[K] = AIJ[K];
+      AOut[K] = AGJ[K];
     }
   });
   return Key;
@@ -249,7 +339,7 @@ void RnsCkksBackend::generateRotationKeys(const std::vector<int> &Steps) {
     uint64_t Elt = Encoder.galoisElement(Step);
     if (GaloisKeys.count(Elt))
       continue;
-    // Target sigma_elt(s) over every modulus.
+    // Target sigma_elt(s) over the chain.
     size_t TwoN = 2 * Degree;
     std::vector<int64_t> Rotated(Degree);
     for (size_t K = 0; K < Degree; ++K) {
@@ -261,22 +351,38 @@ void RnsCkksBackend::generateRotationKeys(const std::vector<int> &Steps) {
       }
       Rotated[Index] = V;
     }
-    std::vector<std::vector<uint64_t>> Target(ChainLen + 1);
-    parallelFor(0, ChainLen + 1, 1,
+    std::vector<std::vector<uint64_t>> Target(ChainLen);
+    parallelFor(0, ChainLen, 1,
                 [&](size_t J) { Target[J] = smallToNtt(Rotated, J); });
-    GaloisKeys.emplace(Elt, makeKSwitchKey(Target));
-    GaloisPerms.emplace(Elt, galoisNttPermutation(LogN, Elt));
+    GaloisKeys.emplace(Elt, GaloisKey{makeKSwitchKey(Target),
+                                      galoisNttPermutation(LogN, Elt)});
   }
 }
 
 void RnsCkksBackend::clearRotationKeys() {
   GaloisKeys.clear();
-  GaloisPerms.clear();
   RotationSteps.clear();
 }
 
 bool RnsCkksBackend::hasRotationKey(int Steps) const {
   return GaloisKeys.count(Encoder.galoisElement(Steps)) != 0;
+}
+
+uint64_t RnsCkksBackend::keyBytes() const {
+  uint64_t Words = 0;
+  auto Count = [&](const std::vector<std::vector<uint64_t>> &Polys) {
+    for (const auto &P : Polys)
+      Words += P.size();
+  };
+  Count(PkB);
+  Count(PkA);
+  Count(RelinKey.B);
+  Count(RelinKey.A);
+  for (const auto &[Elt, G] : GaloisKeys) {
+    Count(G.Key.B);
+    Count(G.Key.A);
+  }
+  return Words * sizeof(uint64_t);
 }
 
 //===----------------------------------------------------------------------===//
@@ -560,6 +666,90 @@ void RnsCkksBackend::mulPlainAssign(Ct &C, const Pt &P) const {
 // Multiplication, relinearization, rotation
 //===----------------------------------------------------------------------===//
 
+/// Out[K] = (sum_t X[t][K] * W[t]) mod Q over \p Terms inputs below
+/// \p Bound: the fast base conversion kernel of ModUp and ModDown.
+/// Weights are reduced, so when every possible sum fits a word (narrow
+/// primes) it accumulates in 64 bits; otherwise terms are < 2^122 and the
+/// 128-bit sum folds every 32 terms. Either way the result is canonical.
+static void baseConvert(const Modulus &Q, const uint64_t *const *X,
+                        const uint64_t *W, size_t Terms, uint64_t Bound,
+                        size_t N, uint64_t *Out) {
+  if ((static_cast<unsigned __int128>(Bound) * Q.value() * Terms) >> 64 ==
+      0) {
+    for (size_t K = 0; K < N; ++K) {
+      uint64_t Acc = 0;
+      for (size_t T = 0; T < Terms; ++T)
+        Acc += X[T][K] * W[T];
+      Out[K] = Q.reduce(Acc);
+    }
+    return;
+  }
+  for (size_t K = 0; K < N; ++K) {
+    unsigned __int128 Acc = 0;
+    for (size_t T = 0; T < Terms; ++T) {
+      Acc += static_cast<unsigned __int128>(X[T][K]) * W[T];
+      if ((T & 31) == 31)
+        Acc = Q.reduce128(Acc);
+    }
+    Out[K] = Q.reduce128(Acc);
+  }
+}
+
+LimbBuffer RnsCkksBackend::modUp(const uint64_t *Coeff, const uint64_t *Ntt,
+                                 int Level) const {
+  const size_t Components = size_t(Level) + 1;
+  const size_t Digits = Params.digitsAt(Level);
+  const size_t Outputs = Components + Alpha;
+  const size_t Moduli = ChainLen + Alpha;
+  auto DigitSize = [&](size_t G) {
+    return std::min(Alpha, Components - G * Alpha);
+  };
+
+  // Y_i = [d_i * (Q_g/q_i)^{-1}]_{q_i}: the digit-local CRT coordinates.
+  LimbBuffer Y(Components * Degree);
+  parallelFor(0, Components, 1, [&](size_t I) {
+    size_t G = I / Alpha;
+    const Modulus &Q = ChainMods[I];
+    uint64_t W = digitBasis(G, DigitSize(G)).HatInv[I - G * Alpha];
+    uint64_t WShoup = shoupPrecompute(W, Q.value());
+    const uint64_t *Src = Coeff + I * Degree;
+    uint64_t *Dst = Y.data() + I * Degree;
+    for (size_t K = 0; K < Degree; ++K)
+      Dst[K] = shoupMulMod(Src[K], W, WShoup, Q.value());
+  });
+
+  // Row J of the base packs, for output modulus J, every digit raised to
+  // J and transformed. A digit's own primes need no conversion: there the
+  // digit is d's stored NTT-form limb.
+  LimbBuffer Base(Outputs * Digits * Degree);
+  parallelFor(0, Outputs * Digits, 1, [&](size_t Flat) {
+    size_t J = Flat / Digits;
+    size_t G = Flat % Digits;
+    size_t First = G * Alpha, Size = DigitSize(G);
+    uint64_t *Dst = Base.data() + Flat * Degree;
+    if (J >= First && J < First + Size) {
+      std::memcpy(Dst, Ntt + J * Degree, Degree * sizeof(uint64_t));
+      return;
+    }
+    size_t ModIndex = J < Components ? J : ChainLen + (J - Components);
+    const DigitBasis &D = digitBasis(G, Size);
+    std::vector<const uint64_t *> X(Size);
+    std::vector<uint64_t> W(Size);
+    uint64_t Bound = 0;
+    for (size_t I = 0; I < Size; ++I) {
+      X[I] = Y.data() + (First + I) * Degree;
+      W[I] = D.HatMod[I * Moduli + ModIndex];
+      Bound = std::max(Bound, ChainMods[First + I].value());
+    }
+    baseConvert(modAt(ModIndex), X.data(), W.data(), Size, Bound, Degree,
+                Dst);
+    nttAt(ModIndex).forward(Dst);
+  });
+  KsStats->ForwardNtts.fetch_add(Outputs * Digits - Components,
+                                 std::memory_order_relaxed);
+  return Base;
+}
+
 /// Whether the key-switch inner products may sum raw 128-bit products and
 /// Barrett-reduce once per element instead of reducing every term. Primes
 /// are <= 61 bits, so a term is < 2^122 and 32 terms leave 2x headroom in
@@ -571,180 +761,129 @@ static bool lazyInnerProduct(size_t Terms) {
   return Terms <= 32 && LimbPool::instance().enabled();
 }
 
-void RnsCkksBackend::keySwitch(const uint64_t *Digits, int Level,
-                               const KSwitchKey &Key, LimbBuffer &OutB,
-                               LimbBuffer &OutA) const {
-  size_t Components = Level + 1;
-  const bool Lazy = lazyInnerProduct(Components);
-  if (Lazy) {
-    // Every output element is overwritten by the final reduction.
-    OutB.resizeUninit(Components * Degree);
-    OutA.resizeUninit(Components * Degree);
-  } else {
-    OutB.assignZero(Components * Degree);
-    OutA.assignZero(Components * Degree);
-  }
-  LimbBuffer AccBSp(Degree), AccASp(Degree);
-  if (!Lazy) {
-    AccBSp.assignZero(Degree);
-    AccASp.assignZero(Degree);
-  }
+void RnsCkksBackend::keySwitchFromBase(const LimbBuffer &Base, int Level,
+                                       const KSwitchKey &Key,
+                                       const uint32_t *Perm,
+                                       LimbBuffer &OutB,
+                                       std::vector<uint64_t> &OutA) const {
+  const size_t Components = size_t(Level) + 1;
+  const size_t Digits = Params.digitsAt(Level);
+  const size_t Outputs = Components + Alpha;
+  const bool Lazy = lazyInnerProduct(Digits);
+  // OutA becomes a rotation's C1 via move, so it stays a std::vector; the
+  // B side and the special-prime tails draw from the pool.
+  LimbBuffer TailB(Alpha * Degree), TailA(Alpha * Degree);
+  OutB.resizeUninit(Components * Degree);
+  OutA.resize(Components * Degree);
 
-  // Loop interchange vs. the textbook order: the outer (parallel) loop
-  // walks the output moduli, each of which owns a disjoint accumulator;
-  // the inner loop walks the digits sequentially in the original order,
-  // so every output element sees the same addition order as a sequential
-  // run and results stay bit-identical.
-  parallelFor(0, Components + 1, 1, [&](size_t J) {
-    size_t ModIndex = J < Components ? J : ChainLen; // special last
+  // Inner product. The parallel loop walks the output moduli, each of
+  // which owns disjoint outputs; per element the digits fold in order in
+  // registers, reading sigma's permuted index straight from the base, so
+  // every element sees the same fold at any thread count.
+  parallelFor(0, Outputs, 1, [&](size_t J) {
+    bool Chain = J < Components;
+    size_t ModIndex = Chain ? J : ChainLen + (J - Components);
     const Modulus &Q = modAt(ModIndex);
-    LimbBuffer Tmp(Degree);
-    PooledScratch<unsigned __int128> LzB, LzA;
-    if (Lazy) {
-      LzB = PooledScratch<unsigned __int128>::zeroed(Degree);
-      LzA = PooledScratch<unsigned __int128>::zeroed(Degree);
+    uint64_t *DstB = Chain ? OutB.data() + J * Degree
+                           : TailB.data() + (J - Components) * Degree;
+    uint64_t *DstA = Chain ? OutA.data() + J * Degree
+                           : TailA.data() + (J - Components) * Degree;
+    const uint64_t *Row = Base.data() + J * Digits * Degree;
+    std::vector<const uint64_t *> KeyB(Digits), KeyA(Digits);
+    for (size_t G = 0; G < Digits; ++G) {
+      KeyB[G] = Key.B[G].data() + ModIndex * Degree;
+      KeyA[G] = Key.A[G].data() + ModIndex * Degree;
     }
-    uint64_t *DstB =
-        ModIndex == ChainLen ? AccBSp.data() : OutB.data() + J * Degree;
-    uint64_t *DstA =
-        ModIndex == ChainLen ? AccASp.data() : OutA.data() + J * Degree;
-    for (size_t I = 0; I < Components; ++I) {
-      const uint64_t *Digit = Digits + I * Degree;
-      if (ModIndex == I) {
-        std::memcpy(Tmp.data(), Digit, Degree * sizeof(uint64_t));
-      } else {
-        for (size_t K = 0; K < Degree; ++K)
-          Tmp[K] = Q.reduce(Digit[K]);
-      }
-      nttAt(ModIndex).forward(Tmp.data());
-      const uint64_t *KeyB = Key.B[I].data() + ModIndex * Degree;
-      const uint64_t *KeyA = Key.A[I].data() + ModIndex * Degree;
-      if (Lazy) {
-        for (size_t K = 0; K < Degree; ++K) {
-          LzB[K] += static_cast<unsigned __int128>(Tmp[K]) * KeyB[K];
-          LzA[K] += static_cast<unsigned __int128>(Tmp[K]) * KeyA[K];
-        }
-      } else {
-        for (size_t K = 0; K < Degree; ++K) {
-          DstB[K] = Q.addMod(DstB[K], Q.mulMod(Tmp[K], KeyB[K]));
-          DstA[K] = Q.addMod(DstA[K], Q.mulMod(Tmp[K], KeyA[K]));
-        }
-      }
-    }
-    if (Lazy)
-      for (size_t K = 0; K < Degree; ++K) {
-        DstB[K] = Q.reduce128(LzB[K]);
-        DstA[K] = Q.reduce128(LzA[K]);
-      }
-  });
-  KsStats->ForwardNtts.fetch_add(Components * (Components + 1),
-                                 std::memory_order_relaxed);
-  divideBySpecialPair(OutB.data(), AccBSp.data(), OutA.data(),
-                      AccASp.data(), Level);
-}
-
-void RnsCkksBackend::keySwitchGalois(const uint64_t *Digits, int Level,
-                                     uint64_t Elt, const KSwitchKey &Key,
-                                     LimbBuffer &OutB,
-                                     LimbBuffer &OutA) const {
-  size_t Components = Level + 1;
-  const bool Lazy = lazyInnerProduct(Components);
-  if (Lazy) {
-    OutB.resizeUninit(Components * Degree);
-    OutA.resizeUninit(Components * Degree);
-  } else {
-    OutB.assignZero(Components * Degree);
-    OutA.assignZero(Components * Degree);
-  }
-  LimbBuffer AccBSp(Degree), AccASp(Degree);
-  if (!Lazy) {
-    AccBSp.assignZero(Degree);
-    AccASp.assignZero(Degree);
-  }
-
-  // Same loop interchange as keySwitch: the parallel loop owns disjoint
-  // per-modulus accumulators, the sequential digit loop fixes the fold
-  // order, so results are bit-identical at any thread count.
-  parallelFor(0, Components + 1, 1, [&](size_t J) {
-    size_t ModIndex = J < Components ? J : ChainLen; // special last
-    const Modulus &Q = modAt(ModIndex);
-    LimbBuffer Tmp(Degree), Sigma(Degree);
-    PooledScratch<unsigned __int128> LzB, LzA;
-    if (Lazy) {
-      LzB = PooledScratch<unsigned __int128>::zeroed(Degree);
-      LzA = PooledScratch<unsigned __int128>::zeroed(Degree);
-    }
-    uint64_t *DstB =
-        ModIndex == ChainLen ? AccBSp.data() : OutB.data() + J * Degree;
-    uint64_t *DstA =
-        ModIndex == ChainLen ? AccASp.data() : OutA.data() + J * Degree;
-    for (size_t I = 0; I < Components; ++I) {
-      const uint64_t *Digit = Digits + I * Degree;
-      if (ModIndex == I) {
-        std::memcpy(Tmp.data(), Digit, Degree * sizeof(uint64_t));
-      } else {
-        for (size_t K = 0; K < Degree; ++K)
-          Tmp[K] = Q.reduce(Digit[K]);
-      }
-      applyAutomorphismRns(Tmp.data(), Sigma.data(), Degree, Elt,
-                           Q.value());
-      nttAt(ModIndex).forward(Sigma.data());
-      const uint64_t *KeyB = Key.B[I].data() + ModIndex * Degree;
-      const uint64_t *KeyA = Key.A[I].data() + ModIndex * Degree;
-      if (Lazy) {
-        for (size_t K = 0; K < Degree; ++K) {
-          LzB[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyB[K];
-          LzA[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyA[K];
-        }
-      } else {
-        for (size_t K = 0; K < Degree; ++K) {
-          DstB[K] = Q.addMod(DstB[K], Q.mulMod(Sigma[K], KeyB[K]));
-          DstA[K] = Q.addMod(DstA[K], Q.mulMod(Sigma[K], KeyA[K]));
-        }
-      }
-    }
-    if (Lazy)
-      for (size_t K = 0; K < Degree; ++K) {
-        DstB[K] = Q.reduce128(LzB[K]);
-        DstA[K] = Q.reduce128(LzA[K]);
-      }
-  });
-  KsStats->ForwardNtts.fetch_add(Components * (Components + 1),
-                                 std::memory_order_relaxed);
-  divideBySpecialPair(OutB.data(), AccBSp.data(), OutA.data(),
-                      AccASp.data(), Level);
-}
-
-void RnsCkksBackend::divideBySpecialPair(uint64_t *BChain,
-                                         uint64_t *BSpecial,
-                                         uint64_t *AChain,
-                                         uint64_t *ASpecial,
-                                         int Level) const {
-  // Counter totals match the two single-polynomial divisions this pass
-  // replaces (profiling asserts the hoisting amortization ratios).
-  KsStats->ForwardNtts.fetch_add(2 * (size_t(Level) + 1),
-                                 std::memory_order_relaxed);
-  KsStats->InverseNtts.fetch_add(2, std::memory_order_relaxed);
-  SpecialNtt->inverse(BSpecial);
-  SpecialNtt->inverse(ASpecial);
-  uint64_t P = SpecialMod.value();
-  uint64_t HalfP = P >> 1;
-  parallelFor(0, size_t(Level) + 1, 1, [&](size_t J) {
-    const Modulus &Q = ChainMods[J];
-    LimbBuffer CorrB(Degree), CorrA(Degree);
     for (size_t K = 0; K < Degree; ++K) {
-      uint64_t TB = BSpecial[K];
-      uint64_t TA = ASpecial[K];
-      // Centered representative of T mod p, reduced into Z_q.
-      CorrB[K] = TB > HalfP ? Q.negMod(Q.reduce(P - TB)) : Q.reduce(TB);
-      CorrA[K] = TA > HalfP ? Q.negMod(Q.reduce(P - TA)) : Q.reduce(TA);
+      const uint64_t *Src = Row + (Perm ? Perm[K] : K);
+      if (Lazy) {
+        unsigned __int128 AccB = 0, AccA = 0;
+        for (size_t G = 0; G < Digits; ++G) {
+          uint64_t X = Src[G * Degree];
+          AccB += static_cast<unsigned __int128>(X) * KeyB[G][K];
+          AccA += static_cast<unsigned __int128>(X) * KeyA[G][K];
+        }
+        DstB[K] = Q.reduce128(AccB);
+        DstA[K] = Q.reduce128(AccA);
+      } else {
+        uint64_t AccB = 0, AccA = 0;
+        for (size_t G = 0; G < Digits; ++G) {
+          uint64_t X = Src[G * Degree];
+          AccB = Q.addMod(AccB, Q.mulMod(X, KeyB[G][K]));
+          AccA = Q.addMod(AccA, Q.mulMod(X, KeyA[G][K]));
+        }
+        DstB[K] = AccB;
+        DstA[K] = AccA;
+      }
     }
+  });
+
+  // ModDown: out = (acc - lift(acc mod P)) / P, with the lift of the
+  // special-prime tails centered so the division rounds. The tails go to
+  // coefficient form and to their CRT coordinates y_k = x_k (P/p_k)^{-1};
+  // the lift is sum_k y_k (P/p_k) - v P with v = round(sum_k y_k / p_k).
+  KsStats->InverseNtts.fetch_add(2 * Alpha, std::memory_order_relaxed);
+  KsStats->ForwardNtts.fetch_add(2 * Components, std::memory_order_relaxed);
+  parallelFor(0, 2 * Alpha, 1, [&](size_t T) {
+    size_t K = T % Alpha;
+    uint64_t *Tail = (T < Alpha ? TailB : TailA).data() + K * Degree;
+    SpecialNtt[K]->inverse(Tail);
+    uint64_t P = SpecialMods[K].value();
+    uint64_t WShoup = shoupPrecompute(PHatInv[K], P);
+    for (size_t I = 0; I < Degree; ++I)
+      Tail[I] = shoupMulMod(Tail[I], PHatInv[K], WShoup, P);
+  });
+  LimbBuffer VB(Degree), VA(Degree);
+  globalThreadPool().parallelForBlocks(
+      0, Degree, 1024, [&](size_t Lo, size_t Hi) {
+        if (Alpha == 1) {
+          // Exact: the single residue is centered around p/2.
+          uint64_t Half = SpecialMods[0].value() >> 1;
+          for (size_t I = Lo; I < Hi; ++I) {
+            VB[I] = TailB[I] > Half;
+            VA[I] = TailA[I] > Half;
+          }
+          return;
+        }
+        std::vector<double> Inv(Alpha);
+        for (size_t K = 0; K < Alpha; ++K)
+          Inv[K] = 1.0 / static_cast<double>(SpecialMods[K].value());
+        for (size_t I = Lo; I < Hi; ++I) {
+          double FB = 0.5, FA = 0.5;
+          for (size_t K = 0; K < Alpha; ++K) {
+            FB += static_cast<double>(TailB[K * Degree + I]) * Inv[K];
+            FA += static_cast<double>(TailA[K * Degree + I]) * Inv[K];
+          }
+          VB[I] = static_cast<uint64_t>(FB);
+          VA[I] = static_cast<uint64_t>(FA);
+        }
+      });
+  parallelFor(0, Components, 1, [&](size_t J) {
+    const Modulus &Q = ChainMods[J];
+    std::vector<const uint64_t *> XB(Alpha + 1), XA(Alpha + 1);
+    std::vector<uint64_t> W(Alpha + 1);
+    for (size_t K = 0; K < Alpha; ++K) {
+      XB[K] = TailB.data() + K * Degree;
+      XA[K] = TailA.data() + K * Degree;
+      W[K] = PHatModChain[K * ChainLen + J];
+    }
+    XB[Alpha] = VB.data();
+    XA[Alpha] = VA.data();
+    W[Alpha] = PNegModChain[J];
+    LimbBuffer CorrB(Degree), CorrA(Degree);
+    uint64_t Bound = 0;
+    for (const Modulus &P : SpecialMods)
+      Bound = std::max(Bound, P.value());
+    baseConvert(Q, XB.data(), W.data(), Alpha + 1, Bound, Degree,
+                CorrB.data());
+    baseConvert(Q, XA.data(), W.data(), Alpha + 1, Bound, Degree,
+                CorrA.data());
     ChainNtt[J]->forward(CorrB.data());
     ChainNtt[J]->forward(CorrA.data());
-    uint64_t Inv = SpecialInvModChain[J];
+    uint64_t Inv = PInvModChain[J];
     uint64_t InvShoup = shoupPrecompute(Inv, Q.value());
-    uint64_t *DstB = BChain + J * Degree;
-    uint64_t *DstA = AChain + J * Degree;
+    uint64_t *DstB = OutB.data() + J * Degree;
+    uint64_t *DstA = OutA.data() + J * Degree;
     for (size_t K = 0; K < Degree; ++K) {
       DstB[K] = shoupMulMod(Q.subMod(DstB[K], CorrB[K]), Inv, InvShoup,
                             Q.value());
@@ -758,8 +897,8 @@ void RnsCkksBackend::mulAssign(Ct &C, const Ct &Other) {
   int L = C.Level < Other.Level ? C.Level : Other.Level;
   modSwitchTo(C, L);
 
-  LimbBuffer D0((size_t(L) + 1) * Degree), D1((size_t(L) + 1) * Degree);
-  LimbBuffer D2((size_t(L) + 1) * Degree);
+  const size_t Words = (size_t(L) + 1) * Degree;
+  LimbBuffer D0(Words), D1(Words), D2(Words), D2Ntt(Words);
   parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
     const Modulus &Q = ChainMods[J];
     const uint64_t *A0 = C.C0.data() + J * Degree;
@@ -769,19 +908,23 @@ void RnsCkksBackend::mulAssign(Ct &C, const Ct &Other) {
     uint64_t *O0 = D0.data() + J * Degree;
     uint64_t *O1 = D1.data() + J * Degree;
     uint64_t *O2 = D2.data() + J * Degree;
+    uint64_t *O2Ntt = D2Ntt.data() + J * Degree;
     for (size_t K = 0; K < Degree; ++K) {
       O0[K] = Q.mulMod(A0[K], B0[K]);
       O1[K] = Q.addMod(Q.mulMod(A0[K], B1[K]), Q.mulMod(A1[K], B0[K]));
+      O2Ntt[K] = Q.mulMod(A1[K], B1[K]);
     }
-    // Digits must be coefficient form; the fused kernel folds the c1*c1
+    // Key switching needs c1*c1 in both forms; the fused kernel folds the
     // product into the inverse transform's first stage, saving one full
     // pass over the limb.
     ChainNtt[J]->pointwiseMulInverse(O2, A1, B1);
   });
 
   KsStats->InverseNtts.fetch_add(size_t(L) + 1, std::memory_order_relaxed);
-  LimbBuffer KB, KA;
-  keySwitch(D2.data(), L, RelinKey, KB, KA);
+  LimbBuffer KB;
+  std::vector<uint64_t> KA;
+  keySwitchFromBase(modUp(D2.data(), D2Ntt.data(), L), L, RelinKey, nullptr,
+                    KB, KA);
   parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
     const Modulus &Q = ChainMods[J];
     uint64_t *Dst0 = C.C0.data() + J * Degree;
@@ -798,46 +941,40 @@ void RnsCkksBackend::mulAssign(Ct &C, const Ct &Other) {
   C.Scale *= Other.Scale;
 }
 
-void RnsCkksBackend::rotateByElement(Ct &C, uint64_t Elt,
-                                     const KSwitchKey &Key) {
-  int L = C.Level;
-  // Key-switch digits are the *unrotated* c1 components in coefficient
-  // form; keySwitchGalois applies sigma_Elt after reducing each digit
-  // into its output modulus. This reduce-then-rotate order matches the
-  // lift the hoisted rotLeftMany path uses, keeping both bit-identical.
-  LimbBuffer Digits((size_t(L) + 1) * Degree);
-  parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
-    const Modulus &Q = ChainMods[J];
-    LimbBuffer Coeff(Degree), SigmaCoeff(Degree);
-    uint64_t *Digit = Digits.data() + J * Degree;
-    std::memcpy(Digit, C.C1.data() + J * Degree,
-                Degree * sizeof(uint64_t));
-    ChainNtt[J]->inverse(Digit);
-    // sigma(c0) goes straight back to NTT form.
-    std::memcpy(Coeff.data(), C.C0.data() + J * Degree,
-                Degree * sizeof(uint64_t));
-    ChainNtt[J]->inverse(Coeff.data());
-    applyAutomorphismRns(Coeff.data(), SigmaCoeff.data(), Degree, Elt,
-                         Q.value());
-    ChainNtt[J]->forward(SigmaCoeff.data());
-    std::memcpy(C.C0.data() + J * Degree, SigmaCoeff.data(),
-                Degree * sizeof(uint64_t));
+LimbBuffer RnsCkksBackend::rotationBase(const Ct &C) const {
+  const size_t Components = size_t(C.Level) + 1;
+  LimbBuffer Coeff(Components * Degree);
+  parallelFor(0, Components, 1, [&](size_t I) {
+    uint64_t *Digit = Coeff.data() + I * Degree;
+    std::memcpy(Digit, C.C1.data() + I * Degree, Degree * sizeof(uint64_t));
+    ChainNtt[I]->inverse(Digit);
   });
-  KsStats->InverseNtts.fetch_add(2 * (size_t(L) + 1),
-                                 std::memory_order_relaxed);
-  KsStats->ForwardNtts.fetch_add(size_t(L) + 1, std::memory_order_relaxed);
-  KsStats->Rotations.fetch_add(1, std::memory_order_relaxed);
+  KsStats->InverseNtts.fetch_add(Components, std::memory_order_relaxed);
+  return modUp(Coeff.data(), C.C1.data(), C.Level);
+}
 
-  LimbBuffer KB, KA;
-  keySwitchGalois(Digits.data(), L, Elt, Key, KB, KA);
-  parallelFor(0, size_t(L) + 1, 1, [&](size_t J) {
+RnsCkksBackend::Ct
+RnsCkksBackend::rotateFromBase(const Ct &C, const LimbBuffer &Base,
+                               const GaloisKey &G) const {
+  const size_t Components = size_t(C.Level) + 1;
+  Ct O;
+  O.Level = C.Level;
+  O.Scale = C.Scale;
+  LimbBuffer KB;
+  keySwitchFromBase(Base, C.Level, G.Key, G.Perm.data(), KB, O.C1);
+  O.C0.resize(Components * Degree);
+  // sigma(c0) is a pure NTT-domain permutation of the stored limbs (the
+  // limbs are fully reduced, so no transforms are needed).
+  parallelFor(0, Components, 1, [&](size_t J) {
     const Modulus &Q = ChainMods[J];
-    uint64_t *Dst0 = C.C0.data() + J * Degree;
+    const uint64_t *Src = C.C0.data() + J * Degree;
     const uint64_t *K0 = KB.data() + J * Degree;
+    uint64_t *Dst = O.C0.data() + J * Degree;
     for (size_t K = 0; K < Degree; ++K)
-      Dst0[K] = Q.addMod(Dst0[K], K0[K]);
+      Dst[K] = Q.addMod(Src[G.Perm[K]], K0[K]);
   });
-  std::memcpy(C.C1.data(), KA.data(), (L + 1) * Degree * sizeof(uint64_t));
+  KsStats->Rotations.fetch_add(1, std::memory_order_relaxed);
+  return O;
 }
 
 void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
@@ -846,25 +983,23 @@ void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
   if (S == 0)
     return;
 
-  uint64_t Elt = Encoder.galoisElement(S);
-  auto It = GaloisKeys.find(Elt);
+  auto It = GaloisKeys.find(Encoder.galoisElement(S));
   if (It != GaloisKeys.end()) {
-    rotateByElement(C, Elt, It->second);
+    C = rotateFromBase(C, rotationBase(C), It->second);
     return;
   }
   // No dedicated key: fall back to the default power-of-two key set,
   // taking the shorter direction (Section 2.4: "use multiple rotations to
   // achieve the desired amount").
   forEachRotationHop(S, Slots, [&](int Step) {
-    uint64_t E = Encoder.galoisElement(Step);
-    auto KeyIt = GaloisKeys.find(E);
+    auto KeyIt = GaloisKeys.find(Encoder.galoisElement(Step));
     if (KeyIt == GaloisKeys.end())
       throw MissingRotationKeyError(formatError(
           "no Galois key for rotation by ", Steps,
           " (power-of-two decomposition needs step ", Step,
           "); available rotation steps: ",
           describeRotationSteps(RotationSteps)));
-    rotateByElement(C, E, KeyIt->second);
+    C = rotateFromBase(C, rotationBase(C), KeyIt->second);
   });
 }
 
@@ -874,15 +1009,9 @@ RnsCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
   const int64_t Slots = static_cast<int64_t>(slotCount());
 
   // Partition the amounts: zero steps are copies, amounts with a
-  // dedicated Galois key (and its NTT-domain permutation) hoist, the
-  // rest run the per-rotation path (whose power-of-two hop chains cannot
-  // share one decomposition).
-  struct HoistAmount {
-    size_t Idx;
-    const KSwitchKey *Key;
-    const std::vector<uint32_t> *Perm;
-  };
-  std::vector<HoistAmount> Hoist;
+  // dedicated Galois key hoist, the rest run the per-rotation path (whose
+  // power-of-two hop chains cannot share one base).
+  std::vector<std::pair<size_t, const GaloisKey *>> Hoist;
   for (size_t I = 0; I < Steps.size(); ++I) {
     int64_t S = Steps[I] % Slots;
     if (S < 0)
@@ -891,12 +1020,9 @@ RnsCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
       Out[I] = C;
       continue;
     }
-    uint64_t Elt = Encoder.galoisElement(static_cast<int>(S));
-    auto KeyIt = GaloisKeys.find(Elt);
-    auto PermIt = GaloisPerms.find(Elt);
-    if (Hoisting && KeyIt != GaloisKeys.end() &&
-        PermIt != GaloisPerms.end()) {
-      Hoist.push_back({I, &KeyIt->second, &PermIt->second});
+    auto It = GaloisKeys.find(Encoder.galoisElement(static_cast<int>(S)));
+    if (Hoisting && It != GaloisKeys.end()) {
+      Hoist.push_back({I, &It->second});
     } else {
       Out[I] = C;
       rotLeftAssign(Out[I], static_cast<int>(S));
@@ -905,133 +1031,13 @@ RnsCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
   if (Hoist.empty())
     return Out;
 
-  const int L = C.Level;
-  const size_t Components = size_t(L) + 1;
-
-  // Shared digit decomposition: digit I = invNTT_I(c1 limb I), packed
-  // flat at stride Degree.
-  LimbBuffer DC(Components * Degree);
-  parallelFor(0, Components, 1, [&](size_t I) {
-    uint64_t *Digit = DC.data() + I * Degree;
-    std::memcpy(Digit, C.C1.data() + I * Degree,
-                Degree * sizeof(uint64_t));
-    ChainNtt[I]->inverse(Digit);
-  });
-
-  // Shared base: Base[J] packs NTT_J(reduce_J(digit I)) for every digit,
-  // for each output modulus J (chain primes then the special prime).
-  // The diagonal J == I is the stored NTT-form limb itself: forward()
-  // and inverse() are exact mutual inverses on fully reduced vectors.
-  std::vector<LimbBuffer> Base(Components + 1);
-  for (auto &B : Base)
-    B.resizeUninit(Components * Degree);
-  parallelFor(0, (Components + 1) * Components, 1, [&](size_t Flat) {
-    size_t J = Flat / Components;
-    size_t I = Flat % Components;
-    size_t ModIndex = J < Components ? J : ChainLen; // special last
-    const Modulus &Q = modAt(ModIndex);
-    uint64_t *Dst = Base[J].data() + I * Degree;
-    if (ModIndex == I) {
-      std::memcpy(Dst, C.C1.data() + I * Degree, Degree * sizeof(uint64_t));
-    } else {
-      const uint64_t *Digit = DC.data() + I * Degree;
-      for (size_t K = 0; K < Degree; ++K)
-        Dst[K] = Q.reduce(Digit[K]);
-      nttAt(ModIndex).forward(Dst);
-    }
-  });
-  KsStats->InverseNtts.fetch_add(Components, std::memory_order_relaxed);
-  KsStats->ForwardNtts.fetch_add(Components * Components,
-                                 std::memory_order_relaxed);
-
-  // Per-amount inner products against the shared base. The parallel loop
-  // fans out over (amount, output modulus) pairs with disjoint
-  // accumulators; the digit loop stays sequential in the original order,
-  // so results are bit-identical at any thread count.
-  const size_t Fan = Hoist.size();
-  const bool Lazy = lazyInnerProduct(Components);
-  // KA becomes each output's C1 via move, so it stays a std::vector; the
-  // B-side accumulators and special-prime tails draw from the pool.
-  std::vector<LimbBuffer> KB(Fan), SpB(Fan), SpA(Fan);
-  std::vector<std::vector<uint64_t>> KA(Fan);
-  for (size_t A = 0; A < Fan; ++A) {
-    if (Lazy) {
-      // Every element is overwritten by the final lazy reduction.
-      KB[A].resizeUninit(Components * Degree);
-      SpB[A].resizeUninit(Degree);
-      SpA[A].resizeUninit(Degree);
-    } else {
-      KB[A].assignZero(Components * Degree);
-      SpB[A].assignZero(Degree);
-      SpA[A].assignZero(Degree);
-    }
-    KA[A].assign(Components * Degree, 0);
-  }
-  parallelFor(0, Fan * (Components + 1), 1, [&](size_t Flat) {
-    size_t A = Flat / (Components + 1);
-    size_t J = Flat % (Components + 1);
-    size_t ModIndex = J < Components ? J : ChainLen;
-    const Modulus &Q = modAt(ModIndex);
-    const std::vector<uint32_t> &Perm = *Hoist[A].Perm;
-    const KSwitchKey &Key = *Hoist[A].Key;
-    uint64_t *DstB =
-        ModIndex == ChainLen ? SpB[A].data() : KB[A].data() + J * Degree;
-    uint64_t *DstA =
-        ModIndex == ChainLen ? SpA[A].data() : KA[A].data() + J * Degree;
-    LimbBuffer Sigma(Degree);
-    PooledScratch<unsigned __int128> LzB, LzA;
-    if (Lazy) {
-      LzB = PooledScratch<unsigned __int128>::zeroed(Degree);
-      LzA = PooledScratch<unsigned __int128>::zeroed(Degree);
-    }
-    for (size_t I = 0; I < Components; ++I) {
-      const uint64_t *Src = Base[J].data() + I * Degree;
-      for (size_t K = 0; K < Degree; ++K)
-        Sigma[K] = Src[Perm[K]];
-      const uint64_t *KeyB = Key.B[I].data() + ModIndex * Degree;
-      const uint64_t *KeyA = Key.A[I].data() + ModIndex * Degree;
-      if (Lazy) {
-        for (size_t K = 0; K < Degree; ++K) {
-          LzB[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyB[K];
-          LzA[K] += static_cast<unsigned __int128>(Sigma[K]) * KeyA[K];
-        }
-      } else {
-        for (size_t K = 0; K < Degree; ++K) {
-          DstB[K] = Q.addMod(DstB[K], Q.mulMod(Sigma[K], KeyB[K]));
-          DstA[K] = Q.addMod(DstA[K], Q.mulMod(Sigma[K], KeyA[K]));
-        }
-      }
-    }
-    if (Lazy)
-      for (size_t K = 0; K < Degree; ++K) {
-        DstB[K] = Q.reduce128(LzB[K]);
-        DstA[K] = Q.reduce128(LzA[K]);
-      }
-  });
-
-  for (size_t A = 0; A < Fan; ++A) {
-    divideBySpecialPair(KB[A].data(), SpB[A].data(), KA[A].data(),
-                        SpA[A].data(), L);
-    Ct &O = Out[Hoist[A].Idx];
-    O.Level = L;
-    O.Scale = C.Scale;
-    O.C1 = std::move(KA[A]);
-    O.C0.resize(Components * Degree);
-    // sigma(c0) is a pure NTT-domain permutation of the stored limbs
-    // (the limbs are fully reduced, so no transforms are needed).
-    const std::vector<uint32_t> &Perm = *Hoist[A].Perm;
-    parallelFor(0, Components, 1, [&](size_t J) {
-      const Modulus &Q = ChainMods[J];
-      const uint64_t *Src = C.C0.data() + J * Degree;
-      const uint64_t *K0 = KB[A].data() + J * Degree;
-      uint64_t *Dst = O.C0.data() + J * Degree;
-      for (size_t K = 0; K < Degree; ++K)
-        Dst[K] = Q.addMod(Src[Perm[K]], K0[K]);
-    });
-  }
-  KsStats->Rotations.fetch_add(Fan, std::memory_order_relaxed);
+  // One ModUp serves every amount; each then only permutes the shared
+  // base and runs its own inner product and ModDown.
+  LimbBuffer Base = rotationBase(C);
+  for (const auto &[Idx, G] : Hoist)
+    Out[Idx] = rotateFromBase(C, Base, *G);
   KsStats->HoistedBatches.fetch_add(1, std::memory_order_relaxed);
-  KsStats->HoistedAmounts.fetch_add(Fan, std::memory_order_relaxed);
+  KsStats->HoistedAmounts.fetch_add(Hoist.size(), std::memory_order_relaxed);
   return Out;
 }
 

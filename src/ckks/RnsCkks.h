@@ -17,15 +17,26 @@
 /// the CHET paper: maxRescale returns the product of the next moduli in
 /// the chain that fits under the requested bound).
 ///
-/// Key switching uses the hybrid per-prime ("RNS digit") decomposition
-/// with a single special prime p: the evaluation key for a target t is,
-/// for each digit i, an RLWE sample (b_i, a_i) modulo Q*p with
-/// b_i = -(a_i s) + e_i + p * T_i * t, where T_i is the CRT interpolation
-/// basis element (T_i = 1 mod q_i, 0 mod q_j). Switching a polynomial c
-/// accumulates sum_i [c]_{q_i} * (b_i, a_i) and divides by p with
-/// rounding. This is the standard GHS/SEAL construction whose cost is
-/// O(N log N r^2) per ciphertext multiplication or rotation -- exactly the
-/// RNS-CKKS column of Table 1 in the paper.
+/// Key switching is the hybrid (Han-Ki, CT-RSA 2020) digit construction
+/// with a list of alpha special primes p_0..p_{alpha-1}, P their product.
+/// The chain is split into groups of alpha consecutive primes; at level l
+/// the beta = ceil((l+1)/alpha) groups q_0..q_l falls into are the
+/// key-switch digits. The evaluation key for a target t holds, for each
+/// digit g, an RLWE sample (b_g, a_g) modulo Q*P with
+/// b_g = -(a_g s) + e_g + P * Qt_g * t, where the gadget factor Qt_g is
+/// 1 modulo the primes of group g and 0 modulo every other chain prime (so
+/// a partial last group at a lower level works unchanged). Switching a
+/// polynomial d raises each digit [d]_{Q_g} to the group's complement and
+/// P by fast base conversion (ModUp), accumulates the inner product with
+/// the key in the NTT domain, and divides by P with rounding (ModDown).
+/// Per ciphertext multiplication or rotation that costs O(N log N r beta)
+/// instead of the per-prime digits' O(N log N r^2) -- the RNS-CKKS column
+/// of Table 1 in the paper with r^2 shrunk by alpha. alpha = 1 is the
+/// one-special-prime, one-digit-per-prime construction of SEAL v3.1.
+///
+/// RnsCkksParams::specialPrimesFor derives alpha from the security budget
+/// the chain leaves over: the alpha that minimizes the key words
+/// beta * (L+1+alpha) among those that fit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +66,10 @@ struct RnsCkksParams {
   int LogN = 13;
   /// q_0 (a wide "base" prime) followed by the scaling primes q_1..q_L.
   std::vector<uint64_t> ChainPrimes;
-  /// The key-switching prime p (counts toward the security budget).
-  uint64_t SpecialPrime = 0;
+  /// The key-switching primes p_0..p_{alpha-1}, disjoint from the chain;
+  /// their product P counts toward the security budget. Their number
+  /// alpha is the key-switch digit width in chain primes.
+  std::vector<uint64_t> SpecialPrimes;
   SecurityLevel Security = SecurityLevel::Classical128;
   uint64_t Seed = 0x5ea1;
   /// Generate the default power-of-two rotation keys at construction.
@@ -72,10 +85,23 @@ struct RnsCkksParams {
   static std::vector<uint64_t> candidateChain(int Count, int FirstBits = 60,
                                               int ScaleBits = 40);
 
-  /// The candidate special prime, disjoint from candidateChain results.
+  /// The first candidate special prime, disjoint from candidateChain
+  /// results.
   static uint64_t candidateSpecial(int Bits = 60);
 
-  /// Convenience constructor from the candidate lists.
+  /// The special-prime list for \p ChainPrimes at ring dimension
+  /// 2^\p LogN: alpha NTT-friendly \p Bits-bit primes disjoint from the
+  /// chain, where alpha in [1, min(chain length, floor((budget - logQ) /
+  /// Bits))] minimizes the key words per coefficient
+  /// ceil(ChainLen / alpha) * (ChainLen + alpha), ties going to the
+  /// smaller alpha. Candidates are generated once and cached; the first
+  /// is candidateSpecial(Bits).
+  static std::vector<uint64_t>
+  specialPrimesFor(const std::vector<uint64_t> &ChainPrimes, int LogN,
+                   SecurityLevel Security, int Bits = 60);
+
+  /// Convenience constructor from the candidate lists; the special
+  /// primes come from specialPrimesFor.
   static RnsCkksParams create(int LogN, int Levels, int FirstBits = 60,
                               int ScaleBits = 40,
                               SecurityLevel Security =
@@ -83,10 +109,18 @@ struct RnsCkksParams {
 
   /// Bits of the full ciphertext modulus q_0..q_L (excluding p).
   double logQ() const;
-  /// Bits of the total modulus including the special prime.
+  /// Bits of the total modulus including the special primes.
   double logQP() const;
   /// Number of rescale levels L (ChainPrimes.size() - 1).
   int levels() const { return static_cast<int>(ChainPrimes.size()) - 1; }
+  /// Whether the chain and special primes are pairwise distinct, as key
+  /// switching (and every CRT basis) requires.
+  bool primesDistinct() const;
+  /// Key-switch digits at \p Level: ceil((Level+1) / alpha).
+  size_t digitsAt(int Level) const {
+    return (static_cast<size_t>(Level) + SpecialPrimes.size()) /
+           SpecialPrimes.size();
+  }
 };
 
 /// The RNS-CKKS scheme exposed through the HISA. Constructing an instance
@@ -211,18 +245,43 @@ public:
   KeySwitchNttStats keySwitchNttStats() const;
   void resetKeySwitchNttStats();
 
+  /// Bytes of evaluation key material held: the public key, the
+  /// relinearization key and every Galois key, counted from the stored
+  /// polynomials.
+  uint64_t keyBytes() const;
+
 private:
   struct KSwitchKey {
-    /// B[i] and A[i] hold, for digit i, one N-word NTT polynomial per
-    /// modulus (ChainLen chain primes then the special prime).
+    /// B[g] and A[g] hold, for digit g, one N-word NTT polynomial per
+    /// modulus (ChainLen chain primes then the alpha special primes).
     std::vector<std::vector<uint64_t>> B, A;
   };
+  /// A Galois key with the NTT-domain index permutation realizing
+  /// sigma_Elt, both built at keygen (single-threaded) so rotations read
+  /// them without locking.
+  struct GaloisKey {
+    KSwitchKey Key;
+    std::vector<uint32_t> Perm;
+  };
+  /// Fast base conversion constants of one key-switch digit: the chain
+  /// primes [First, First + Size) with Q_g their product.
+  struct DigitBasis {
+    std::vector<uint64_t> HatInv; ///< (Q_g/q_i)^{-1} mod q_i per member.
+    /// (Q_g/q_i) mod every modulus, member-major ([i * Moduli + m]).
+    std::vector<uint64_t> HatMod;
+  };
 
+  /// Moduli are indexed chain primes first, then the special primes.
   const Modulus &modAt(size_t J) const {
-    return J < ChainLen ? ChainMods[J] : SpecialMod;
+    return J < ChainLen ? ChainMods[J] : SpecialMods[J - ChainLen];
   }
   const NttTables &nttAt(size_t J) const {
-    return J < ChainLen ? *ChainNtt[J] : *SpecialNtt;
+    return J < ChainLen ? *ChainNtt[J] : *SpecialNtt[J - ChainLen];
+  }
+  /// Conversion constants of digit \p G when it holds \p Size primes
+  /// (a digit straddling the ciphertext's level is partial).
+  const DigitBasis &digitBasis(size_t G, size_t Size) const {
+    return DigitBases[G][Size - 1];
   }
 
   std::vector<int8_t> sampleTernaryCoeffs();
@@ -236,32 +295,38 @@ private:
   std::vector<uint64_t> uniformNtt(size_t J);
 
   /// Builds a key-switching key for \p Target (NTT form, one polynomial
-  /// per modulus including the special prime).
+  /// per chain prime).
   KSwitchKey makeKSwitchKey(const std::vector<std::vector<uint64_t>> &Target);
 
-  /// Key-switches the coefficient-form polynomial whose per-prime digits
-  /// are the flat array Digits (Level+1 digits of Degree words each);
-  /// writes NTT-form results into OutB/OutA ((Level+1) * N words each).
-  void keySwitch(const uint64_t *Digits, int Level, const KSwitchKey &Key,
-                 LimbBuffer &OutB, LimbBuffer &OutA) const;
+  /// The key-independent half of a key switch at \p Level (ModUp): the
+  /// polynomial d, given per chain prime in coefficient form (\p Coeff)
+  /// and NTT form (\p Ntt), is cut into its digits, each raised by fast
+  /// base conversion to every active modulus outside its group and
+  /// transformed. Returns one row per output modulus (chain primes
+  /// 0..Level, then the special primes) holding the digits back to back.
+  /// Rotations share it across amounts (hoisting).
+  LimbBuffer modUp(const uint64_t *Coeff, const uint64_t *Ntt,
+                   int Level) const;
 
-  /// Galois-twisted key switch: like keySwitch, but applies sigma_Elt to
-  /// each digit after reduction into the output modulus and before the
-  /// forward NTT. Taking the *unrotated* digits keeps the per-modulus
-  /// lift identical to what rotLeftMany's hoisted base uses, so the two
-  /// rotation paths produce bit-identical ciphertexts.
-  void keySwitchGalois(const uint64_t *Digits, int Level, uint64_t Elt,
-                       const KSwitchKey &Key, LimbBuffer &OutB,
-                       LimbBuffer &OutA) const;
+  /// The per-key half (inner product + ModDown): writes
+  /// round(sum_g sigma(Base_g) * Key_g / P) into OutB/OutA ((Level+1) * N
+  /// words each, NTT form). \p Perm applies sigma in the NTT domain; null
+  /// means the identity (relinearization). Every caller applies sigma at
+  /// this one point, so hoisted and per-amount rotations agree bit for
+  /// bit.
+  void keySwitchFromBase(const LimbBuffer &Base, int Level,
+                         const KSwitchKey &Key, const uint32_t *Perm,
+                         LimbBuffer &OutB,
+                         std::vector<uint64_t> &OutA) const;
 
-  /// Divides two accumulated (chain + special) values by the special
-  /// prime with rounding, in one fused pass over the chain moduli: both
-  /// correction polynomials share each prime's reduction/NTT loop so the
-  /// arena stays in cache and the parallelFor overhead is paid once.
-  /// All four arrays are NTT form; B/A chains hold (Level+1) * N words.
-  void divideBySpecialPair(uint64_t *BChain, uint64_t *BSpecial,
-                           uint64_t *AChain, uint64_t *ASpecial,
-                           int Level) const;
+  /// ModUp of \p C's c1 (its limbs are the NTT form; one inverse NTT per
+  /// limb gives the coefficient form): the shared base of every rotation
+  /// of \p C.
+  LimbBuffer rotationBase(const Ct &C) const;
+
+  /// sigma(C) from its rotation base, key and permutation.
+  Ct rotateFromBase(const Ct &C, const LimbBuffer &Base,
+                    const GaloisKey &G) const;
 
   /// Drops the last active prime of \p C, dividing by it (one rescale
   /// step).
@@ -269,8 +334,6 @@ private:
 
   /// Reduces \p C in place to \p Level by discarding RNS components.
   void modSwitchTo(Ct &C, int Level) const;
-
-  void rotateByElement(Ct &C, uint64_t Elt, const KSwitchKey &Key);
 
   /// Returns P's NTT representation modulo chain prime \p J, computing and
   /// caching it on first use.
@@ -282,10 +345,9 @@ private:
   int LogN;
   size_t Degree;
   size_t ChainLen; ///< Number of chain primes (levels + 1).
-  std::vector<Modulus> ChainMods;
-  Modulus SpecialMod;
-  std::vector<std::unique_ptr<NttTables>> ChainNtt;
-  std::unique_ptr<NttTables> SpecialNtt;
+  size_t Alpha;    ///< Number of special primes (digit width).
+  std::vector<Modulus> ChainMods, SpecialMods;
+  std::vector<std::unique_ptr<NttTables>> ChainNtt, SpecialNtt;
   CkksEncoder Encoder;
   Prng Rng;
 
@@ -293,12 +355,8 @@ private:
   std::vector<std::vector<uint64_t>> SecretNtt; ///< s per modulus, NTT.
   std::vector<std::vector<uint64_t>> PkB, PkA;  ///< per chain prime, NTT.
   KSwitchKey RelinKey;
-  std::map<uint64_t, KSwitchKey> GaloisKeys; ///< keyed by Galois element.
+  std::map<uint64_t, GaloisKey> GaloisKeys; ///< keyed by Galois element.
   std::set<int> RotationSteps; ///< normalized steps with a key, for errors.
-  /// NTT-domain index permutation realizing sigma_Elt, per Galois element;
-  /// built alongside each key at keygen (single-threaded) so the hoisted
-  /// rotation path reads them without locking.
-  std::map<uint64_t, std::vector<uint32_t>> GaloisPerms;
   bool Hoisting = true;
 
   struct KsCounters {
@@ -312,8 +370,14 @@ private:
   mutable std::unique_ptr<KsCounters> KsStats =
       std::make_unique<KsCounters>();
 
-  std::vector<uint64_t> SpecialInvModChain;      ///< p^{-1} mod q_j.
-  std::vector<uint64_t> SpecialModChain;         ///< p mod q_j.
+  /// DigitBases[g][s-1]: digit g holding its first s primes.
+  std::vector<std::vector<DigitBasis>> DigitBases;
+  // ModDown constants.
+  std::vector<uint64_t> PHatInv;      ///< (P/p_k)^{-1} mod p_k.
+  std::vector<uint64_t> PHatModChain; ///< (P/p_k) mod q_j, [k * ChainLen + j].
+  std::vector<uint64_t> PModChain;    ///< P mod q_j (keygen's gadget).
+  std::vector<uint64_t> PNegModChain; ///< -P mod q_j (ModDown centering).
+  std::vector<uint64_t> PInvModChain; ///< P^{-1} mod q_j.
   mutable std::vector<std::unique_ptr<CrtBasis>> CrtByLevel;
   /// Guards the lazy CrtByLevel fill. Heap-held so the backend stays
   /// movable (factories return it by value).

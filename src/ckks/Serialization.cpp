@@ -15,7 +15,7 @@ using namespace chet;
 
 namespace {
 
-constexpr uint32_t kRnsParamsTag = 0x43503152; // "R1PC"
+constexpr uint32_t kRnsParamsTag = 0x43503252; // "R2PC": special-prime list
 constexpr uint32_t kRnsCtTag = 0x43543152;     // "R1TC"
 constexpr uint32_t kBigParamsTag = 0x43503142;  // "B1PC"
 constexpr uint32_t kBigCtTag = 0x43543142;      // "B1TC"
@@ -87,7 +87,7 @@ ByteBuffer chet::serialize(const RnsCkksParams &Params) {
   W.u32(kRnsParamsTag);
   W.i32(Params.LogN);
   W.u64s(Params.ChainPrimes);
-  W.u64(Params.SpecialPrime);
+  W.u64s(Params.SpecialPrimes);
   W.i32(static_cast<int32_t>(Params.Security));
   W.u64(Params.Seed);
   W.i32(Params.StockPow2Keys);
@@ -102,10 +102,11 @@ bool chet::deserialize(const ByteBuffer &Bytes, RnsCkksParams &Params) {
     return false;
   if (!R.i32(Params.LogN) || Params.LogN < 2 || Params.LogN > 17)
     return false;
-  if (!R.u64s(Params.ChainPrimes, /*MaxCount=*/256))
+  if (!R.u64s(Params.ChainPrimes, /*MaxCount=*/256) ||
+      !R.u64s(Params.SpecialPrimes, /*MaxCount=*/256) ||
+      Params.SpecialPrimes.empty() || !Params.primesDistinct())
     return false;
-  if (!R.u64(Params.SpecialPrime) || !R.i32(Security) ||
-      !R.u64(Params.Seed) || !R.i32(Stock) || !R.done())
+  if (!R.i32(Security) || !R.u64(Params.Seed) || !R.i32(Stock) || !R.done())
     return false;
   Params.Security = static_cast<SecurityLevel>(Security);
   Params.StockPow2Keys = Stock != 0;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 using namespace chet;
 
@@ -57,12 +58,12 @@ AuditConfig configFor(const TensorCircuit &Circ,
     C.ChainLen = static_cast<int>(Chain.size());
     C.StockPow2Keys = Compiled.Rns->StockPow2Keys;
     C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, Chain,
-                                 Compiled.Rns->SpecialPrime, Compiled.LogQ);
+                                 Compiled.Rns->SpecialPrimes, Compiled.LogQ);
   } else {
     C.LogQBudget = Compiled.LogQ;
     C.StockPow2Keys = Compiled.Big ? Compiled.Big->StockPow2Keys
                                    : Compiled.RotationKeys.empty();
-    C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, {}, 0,
+    C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, {}, {},
                                  Compiled.LogQ);
   }
   C.AvailableRotationSteps.insert(Compiled.RotationKeys.begin(),
@@ -74,6 +75,48 @@ AuditConfig configFor(const TensorCircuit &Circ,
   C.MaskScale = S.Mask;
   C.NodeEnv = rangeEnvelopes(Circ, kInputAbs);
   return C;
+}
+
+/// Bytes of the evaluation keys makeRnsBackend/makeBigBackend generate
+/// for \p Compiled: the public key, the relinearization key and one
+/// Galois key per distinct rotation (the selected steps plus the stock
+/// power-of-two set when enabled).
+uint64_t predictedKeyBytes(const CompiledCircuit &Compiled) {
+  const uint64_t N = uint64_t(1) << Compiled.LogN;
+  const int Slots = static_cast<int>(N / 2);
+  bool Stock = Compiled.Rns ? Compiled.Rns->StockPow2Keys
+                            : Compiled.Big && Compiled.Big->StockPow2Keys;
+  std::set<int> Steps;
+  for (int S : Compiled.RotationKeys)
+    Steps.insert(normalizeRotation(S, Slots));
+  if (Stock)
+    for (int S = 1; S < Slots; S <<= 1) {
+      Steps.insert(S);
+      Steps.insert(Slots - S);
+    }
+  Steps.erase(0);
+  const uint64_t EvalKeys = 1 + Steps.size();
+  if (Compiled.Rns) {
+    // Per key: beta digits x (L+1+alpha) moduli x N words x 2 halves.
+    // Without special primes no backend (and so no key) can exist.
+    const RnsCkksParams &P = *Compiled.Rns;
+    if (P.SpecialPrimes.empty())
+      return 0;
+    uint64_t Chain = P.ChainPrimes.size();
+    uint64_t KeyWords = P.digitsAt(P.levels()) *
+                        (Chain + P.SpecialPrimes.size()) * N * 2;
+    return (2 * Chain * N + EvalKeys * KeyWords) * sizeof(uint64_t);
+  }
+  if (Compiled.Big) {
+    // Per key: two halves decomposed over the worst-case product's
+    // primes; the public key is two BigInt polynomials.
+    const BigCkksParams &P = *Compiled.Big;
+    uint64_t Primes = BigPolyRing::primesForBits(P.LogQ + P.logQP() +
+                                                 Compiled.LogN + 2);
+    return 2 * N * sizeof(BigInt) +
+           EvalKeys * 2 * Primes * N * sizeof(uint64_t);
+  }
+  return 0;
 }
 
 /// Nodes whose value can reach the circuit output (reverse reachability
@@ -243,6 +286,7 @@ AuditReport chet::auditCircuit(const TensorCircuit &Circ,
     R.Failure = std::current_exception();
   }
 
+  F.KeyBytes = predictedKeyBytes(Compiled);
   finishVerification(Circ, Compiled, Backend, R.Verification);
   for (const AuditNodeStats &S : Backend.nodeStats())
     R.Noise.PerNode.push_back(

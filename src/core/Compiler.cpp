@@ -136,8 +136,10 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
       P.ChainPrimes.push_back(ScaleCandidates[S.ConsumedPrimes + I]);
     for (int I = S.ConsumedPrimes - 1; I >= 0; --I)
       P.ChainPrimes.push_back(ScaleCandidates[I]);
-    P.SpecialPrime =
-        RnsCkksParams::candidateSpecial(Options.FirstPrimeBits);
+    // The key-switch digit width fills the budget the chain leaves over;
+    // it feeds back into no sizing or layout decision.
+    P.SpecialPrimes = RnsCkksParams::specialPrimesFor(
+        P.ChainPrimes, P.LogN, Options.Security, Options.FirstPrimeBits);
     P.Security = Options.Security;
     P.StockPow2Keys = !Options.SelectRotationKeys;
     Result.Rns = std::move(P);

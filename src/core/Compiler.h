@@ -144,6 +144,9 @@ struct FootprintSummary {
   uint64_t PeakScratchBytes = 0; ///< Pooled-scratch share of the peak.
   uint64_t InputBytes = 0;      ///< Encrypted input (live throughout).
   uint64_t OutputBytes = 0;     ///< Encrypted output.
+  /// Evaluation key material (public, relinearization and Galois keys)
+  /// the backend generates; not part of PeakBytes.
+  uint64_t KeyBytes = 0;
 };
 
 /// The compiler's output artifact.

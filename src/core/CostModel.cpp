@@ -6,6 +6,7 @@
 
 #include "core/CostModel.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace chet;
@@ -135,18 +136,32 @@ double CostModel::encode() const {
 
 NoiseModel NoiseModel::create(SchemeKind Scheme, int LogN,
                               const std::vector<uint64_t> &ChainPrimes,
-                              uint64_t SpecialPrime, double LogQ) {
+                              const std::vector<uint64_t> &SpecialPrimes,
+                              double LogQ) {
   NoiseModel M;
   M.N = std::ldexp(1.0, LogN);
   if (Scheme == SchemeKind::RnsCkks) {
-    // Hybrid key switching decomposes over the chain primes; each digit
-    // contributes q_i * e_i / P to the output noise.
-    double Sum = 0;
-    for (uint64_t Q : ChainPrimes)
-      Sum += static_cast<double>(Q);
-    double P = SpecialPrime ? static_cast<double>(SpecialPrime)
-                            : std::ldexp(1.0, 60);
-    M.KsDigitRatio = Sum / P;
+    // Hybrid key switching cuts the chain into digits of alpha consecutive
+    // primes; digit g contributes d_g * e_g / P to the output noise. Its
+    // fast-base-converted lift satisfies |d_g| < |g| * Q_g (|g| primes),
+    // so the ratio is sum_g |g| Q_g / P, evaluated with interleaved
+    // factors because Q_g and P overflow a double for wide digits.
+    std::vector<double> P;
+    for (uint64_t Pk : SpecialPrimes)
+      P.push_back(static_cast<double>(Pk));
+    if (P.empty())
+      P.push_back(std::ldexp(1.0, 60));
+    const size_t Alpha = P.size();
+    for (size_t First = 0; First < ChainPrimes.size(); First += Alpha) {
+      size_t Size = std::min(Alpha, ChainPrimes.size() - First);
+      double Term = static_cast<double>(Size);
+      for (size_t I = 0; I < Alpha; ++I) {
+        if (I < Size)
+          Term *= static_cast<double>(ChainPrimes[First + I]);
+        Term /= P[I];
+      }
+      M.KsDigitRatio += Term;
+    }
   } else {
     // Big-CKKS key-switches against a key modulus as wide as Q itself;
     // with 60-bit digits the ratio sum_i 2^60 / 2^logQ is negligible for

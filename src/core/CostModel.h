@@ -89,14 +89,17 @@ struct NoiseModel {
   double N = 8192;           ///< ring dimension 2^LogN
   double Sigma = 3.2;        ///< error stddev (Prng::nextCenteredGaussian)
   double Safety = 10.0;      ///< high-probability tail multiplier
-  double KsDigitRatio = 0.0; ///< sum_i q_i / P over key-switch digits
+  double KsDigitRatio = 0.0; ///< sum_g |g| Q_g / P over key-switch digits
 
   /// Builds the model for \p Scheme at ring dimension 2^\p LogN.
-  /// \p ChainPrimes and \p SpecialPrime describe the RNS-CKKS modulus
-  /// chain; big-CKKS passes its modulus width \p LogQ instead.
+  /// \p ChainPrimes and \p SpecialPrimes describe the RNS-CKKS modulus
+  /// chain and key-switch digits (alpha = SpecialPrimes.size() chain
+  /// primes per digit); big-CKKS passes its modulus width \p LogQ
+  /// instead.
   static NoiseModel create(SchemeKind Scheme, int LogN,
                            const std::vector<uint64_t> &ChainPrimes,
-                           uint64_t SpecialPrime, double LogQ);
+                           const std::vector<uint64_t> &SpecialPrimes,
+                           double LogQ);
 
   /// Slot bound on the encode rounding polynomial (coefficients rounded
   /// to the nearest integer, uniform in [-1/2, 1/2]).
@@ -114,8 +117,10 @@ struct NoiseModel {
   }
 
   /// Slot bound on key-switch noise: the digit inner product
-  /// sum_i d_i*e_i / P plus the special-prime division rounding. Also
-  /// the relinearization bound (same key-switch structure over s^2).
+  /// sum_g d_g*e_g / P plus the rounding of the division by P, which
+  /// lifts the special-prime residues centered (RnsCkks ModDown) and so
+  /// rounds like a rescale at any alpha. Also the relinearization bound
+  /// (same key-switch structure over s^2).
   double keySwitchNoise() const {
     return Safety * Sigma * N / std::sqrt(12.0) * KsDigitRatio +
            rescaleNoise();

@@ -41,7 +41,8 @@ std::string FootprintReport::str() const {
      << " MB (live ciphertexts " << asMb(PeakLiveCtBytes) << " MB, scratch "
      << asMb(PeakScratchBytes) << " MB) at layer '" << PeakLabel
      << "' (node #" << PeakNodeId << "); input " << asMb(InputBytes)
-     << " MB, output " << asMb(OutputBytes) << " MB";
+     << " MB, output " << asMb(OutputBytes) << " MB; key material "
+     << asMb(KeyBytes) << " MB";
   for (const FootprintNodeReport &Row : hotspots()) {
     OS << "\n  layer '" << Row.Label << "' (node #" << Row.NodeId
        << "): peak " << asMb(Row.PeakBytes) << " MB (live "

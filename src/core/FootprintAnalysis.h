@@ -56,6 +56,9 @@ struct FootprintReport {
   LayoutPolicy Policy = LayoutPolicy::AllHW;
   uint64_t InputBytes = 0;  ///< Encrypted input (live throughout).
   uint64_t OutputBytes = 0; ///< Encrypted output.
+  /// Evaluation keys the backend generates (public, relinearization and
+  /// Galois keys); held for the session, outside PeakBytes.
+  uint64_t KeyBytes = 0;
   uint64_t PeakBytes = 0;   ///< max over nodes of PeakBytes.
   uint64_t PeakLiveCtBytes = 0;  ///< Live-ciphertext share at the peak.
   uint64_t PeakScratchBytes = 0; ///< Scratch share at the peak.
@@ -66,8 +69,8 @@ struct FootprintReport {
   /// The K layers with the largest peak bytes, worst first.
   std::vector<FootprintNodeReport> hotspots(size_t K = 3) const;
   FootprintSummary summary() const {
-    return {true,       PeakBytes,  PeakLiveCtBytes,
-            PeakScratchBytes, InputBytes, OutputBytes};
+    return {true,       PeakBytes,  PeakLiveCtBytes, PeakScratchBytes,
+            InputBytes, OutputBytes, KeyBytes};
   }
   std::string str() const;
 };

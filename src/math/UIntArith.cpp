@@ -28,31 +28,6 @@ Modulus::Modulus(uint64_t Q) : Value(Q) {
   Ratio128Lo = static_cast<uint64_t>((Rem << 64) / Q);
 }
 
-uint64_t Modulus::reduce128(unsigned __int128 X) const {
-  // Barrett reduction with a two-word ratio, following the layout used in
-  // SEAL: Q_est = floor(X * Ratio / 2^128), remainder fixed with at most
-  // one conditional subtraction.
-  uint64_t XLo = static_cast<uint64_t>(X);
-  uint64_t XHi = static_cast<uint64_t>(X >> 64);
-
-  // Multiply the 128-bit X by the 128-bit ratio, keep bits [128,192).
-  unsigned __int128 Prod0 = static_cast<unsigned __int128>(XLo) * Ratio128Lo;
-  unsigned __int128 Prod1 = static_cast<unsigned __int128>(XLo) * Ratio128Hi;
-  unsigned __int128 Prod2 = static_cast<unsigned __int128>(XHi) * Ratio128Lo;
-  unsigned __int128 Prod3 = static_cast<unsigned __int128>(XHi) * Ratio128Hi;
-
-  unsigned __int128 Mid =
-      Prod1 + Prod2 + static_cast<uint64_t>(Prod0 >> 64);
-  uint64_t QEst =
-      static_cast<uint64_t>(Prod3) + static_cast<uint64_t>(Mid >> 64);
-
-  uint64_t R = XLo - QEst * Value;
-  // The estimate can be low by at most 2.
-  while (R >= Value)
-    R -= Value;
-  return R;
-}
-
 uint64_t chet::powMod(uint64_t Base, uint64_t Exp, const Modulus &Q) {
   uint64_t Result = 1;
   uint64_t B = Q.reduce(Base);

@@ -51,7 +51,30 @@ public:
   }
 
   /// Reduces a 128-bit value modulo Q (full two-word Barrett reduction).
-  uint64_t reduce128(unsigned __int128 X) const;
+  /// Inline and branch-free: it sits inside every mulMod and every lazy
+  /// key-switch fold.
+  uint64_t reduce128(unsigned __int128 X) const {
+    // Barrett reduction with a two-word ratio, following the layout used
+    // in SEAL: Q_est = floor(X * Ratio / 2^128), remainder fixed with
+    // conditional subtractions.
+    uint64_t XLo = static_cast<uint64_t>(X);
+    uint64_t XHi = static_cast<uint64_t>(X >> 64);
+
+    // Multiply the 128-bit X by the 128-bit ratio, keep bits [128,192).
+    unsigned __int128 Prod0 = static_cast<unsigned __int128>(XLo) * Ratio128Lo;
+    unsigned __int128 Prod1 = static_cast<unsigned __int128>(XLo) * Ratio128Hi;
+    unsigned __int128 Prod2 = static_cast<unsigned __int128>(XHi) * Ratio128Lo;
+    uint64_t Prod3 = XHi * Ratio128Hi;
+
+    unsigned __int128 Mid =
+        Prod1 + Prod2 + static_cast<uint64_t>(Prod0 >> 64);
+    uint64_t QEst = Prod3 + static_cast<uint64_t>(Mid >> 64);
+
+    uint64_t R = XLo - QEst * Value;
+    // The estimate can be low by at most 2.
+    R = R >= Value ? R - Value : R;
+    return R >= Value ? R - Value : R;
+  }
 
   /// Returns (A * B) mod Q for fully reduced A and B.
   uint64_t mulMod(uint64_t A, uint64_t B) const {

@@ -72,12 +72,36 @@ TEST(Compiler, ParametersRespectSecurityTable) {
                        : C.Big->logQP();
     EXPECT_LE(LogQP,
               maxLogQForSecurity(C.LogN, SecurityLevel::Classical128));
-    // Minimality: one dimension smaller must not fit.
+    // Minimality: one dimension smaller must not fit even the smallest
+    // key-switch modulus (RNS: one special prime; the rest of the list
+    // only fills the budget the chosen dimension leaves over).
+    double MinLogQP =
+        Scheme == SchemeKind::RnsCkks
+            ? C.Rns->logQ() +
+                  std::log2(static_cast<double>(C.Rns->SpecialPrimes[0]))
+            : LogQP;
     if (C.LogN > 11) {
-      EXPECT_GT(LogQP, maxLogQForSecurity(C.LogN - 1,
-                                          SecurityLevel::Classical128));
+      EXPECT_GT(MinLogQP, maxLogQForSecurity(C.LogN - 1,
+                                             SecurityLevel::Classical128));
     }
   }
+}
+
+TEST(Compiler, FootprintPredictsTheBackendsKeyBytes) {
+  // Selected keys and the stock power-of-two set, on both schemes.
+  for (SchemeKind Scheme : {SchemeKind::RnsCkks, SchemeKind::BigCkks})
+    for (bool Select : {true, false}) {
+      CompilerOptions O = baseOptions(Scheme);
+      O.SelectRotationKeys = Select;
+      CompiledCircuit C = compileCircuit(tinyCircuit(), O);
+      uint64_t Held = Scheme == SchemeKind::RnsCkks
+                          ? makeRnsBackend(C).keyBytes()
+                          : makeBigBackend(C).keyBytes();
+      EXPECT_GT(C.Footprint.KeyBytes, 0u);
+      EXPECT_EQ(C.Footprint.KeyBytes, Held)
+          << (Scheme == SchemeKind::RnsCkks ? "rns" : "big")
+          << (Select ? ", selected keys" : ", stock keys");
+    }
 }
 
 TEST(Compiler, RnsChainConsumesCandidatesInAnalysisOrder) {

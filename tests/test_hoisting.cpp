@@ -11,7 +11,8 @@
 /// test_parallel_determinism); amounts without a dedicated Galois key
 /// fall back to the power-of-two decomposition with identical bytes; and
 /// the key-switch NTT counters show the >= 2x forward-NTT amortization on
-/// a CHW convolution layer and a BSGS fully-connected kernel.
+/// a CHW convolution layer and a BSGS fully-connected kernel with one
+/// special prime, and the exact shared-ModUp saving with several.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,13 +104,21 @@ struct RnsRun {
   uint64_t HoistedBatches = 0;
 };
 
+/// \p Alpha special primes key-switch the 11-prime chain; 0 keeps the
+/// list RnsCkksParams::create derives (one prime: the chain overruns the
+/// LogN = 12 security budget create sizes against).
 RnsRun rnsRun(LayoutKind Kind, unsigned Threads, bool Hoist,
-              const std::vector<int> &Keys) {
+              const std::vector<int> &Keys, size_t Alpha = 0) {
   setGlobalThreadCount(Threads);
   RnsCkksParams P = RnsCkksParams::create(/*LogN=*/12, /*Levels=*/10,
                                           /*FirstBits=*/60, /*ScaleBits=*/30);
   P.Security = SecurityLevel::None;
   P.Seed = 77;
+  if (Alpha) {
+    P.SpecialPrimes = RnsCkksParams::specialPrimesFor(P.ChainPrimes, P.LogN,
+                                                      SecurityLevel::None);
+    P.SpecialPrimes.resize(Alpha);
+  }
   RnsCkksBackend Backend(P);
   Backend.generateRotationKeys(Keys);
   Backend.setRotationHoisting(Hoist);
@@ -173,6 +182,24 @@ TEST(Hoisting, RnsHoistedMatchesNaiveByteForByteAcrossThreads) {
       expectSameBytes(Ref.Bytes, Got.Bytes,
                       "rns hoisted, " + std::to_string(Threads) +
                           " threads, " + KindName);
+    }
+  }
+}
+
+TEST(Hoisting, RnsHybridHoistedMatchesNaiveByteForByteAcrossThreads) {
+  // Digits of 3 and of all 11 chain primes (11 is a multiple of neither
+  // 2 nor 3, so the last digit is partial at the top level).
+  PoolGuard Guard;
+  std::vector<int> Keys = pipelineKeySteps(LayoutKind::HW);
+  for (size_t Alpha : {3u, 11u}) {
+    std::string What = "alpha " + std::to_string(Alpha);
+    RnsRun Ref = rnsRun(LayoutKind::HW, 1, /*Hoist=*/false, Keys, Alpha);
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      RnsRun Got = rnsRun(LayoutKind::HW, Threads, /*Hoist=*/true, Keys, Alpha);
+      EXPECT_GT(Got.HoistedAmounts, 0u) << What;
+      expectSameBytes(Ref.Bytes, Got.Bytes,
+                      What + ", hoisted, " + std::to_string(Threads) +
+                          " threads");
     }
   }
 }
@@ -355,6 +382,75 @@ TEST(Hoisting, BsgsFcAmortizesKeySwitchNtts) {
   ASSERT_EQ(OutHoisted.Cts.size(), OutNaive.Cts.size());
   for (size_t I = 0; I < OutHoisted.Cts.size(); ++I)
     EXPECT_EQ(serialize(OutHoisted.Cts[I]), serialize(OutNaive.Cts[I]));
+}
+
+TEST(Hoisting, HybridChwConvSavesExactlyTheSharedModUps) {
+  // With several special primes a rotation's ModUp no longer dominates
+  // its ModDown, so the >= 2x ratio above does not apply; the saving is
+  // exact instead: every hoisted amount after the first of its batch
+  // skips one ModUp's forward transforms.
+  PoolGuard Guard;
+  setGlobalThreadCount(2);
+  ScaleConfig S = ScaleConfig::fromExponents(30, 30, 30, 16);
+  Tensor3 In = randomTensor(4, 8, 8, 21);
+  ConvWeights Conv = randomConv(4, 4, 3, 22);
+
+  AnalysisConfig Cfg;
+  Cfg.Scheme = SchemeKind::RnsCkks;
+  Cfg.LogN = 12;
+  Cfg.ScalePrimeCandidates.assign(6, uint64_t(1) << 30);
+  AnalysisBackend AB(Cfg);
+  TensorLayout AL =
+      makeInputLayout(LayoutKind::CHW, 4, 8, 8, 1, AB.slotCount());
+  auto AEnc = encryptTensor(AB, In, AL, S);
+  conv2d(AB, AEnc, Conv, 1, 1, S);
+  std::vector<int> Keys(AB.rotationSteps().begin(), AB.rotationSteps().end());
+
+  for (size_t Alpha : {2u, 3u, 7u}) {
+    RnsCkksParams P = RnsCkksParams::create(12, 6, 60, 30);
+    P.Security = SecurityLevel::None;
+    P.Seed = 91;
+    P.SpecialPrimes = RnsCkksParams::specialPrimesFor(P.ChainPrimes, P.LogN,
+                                                      SecurityLevel::None);
+    P.SpecialPrimes.resize(Alpha);
+    RnsCkksBackend Backend(P);
+    Backend.generateRotationKeys(Keys);
+    TensorLayout L =
+        makeInputLayout(LayoutKind::CHW, 4, 8, 8, 1, Backend.slotCount());
+    auto Enc = encryptTensor(Backend, In, L, S);
+    // Every rotation of this layer runs on the fresh input, at the top
+    // level: ModUp costs beta (L+1+alpha) - (L+1) forward transforms,
+    // ModDown 2 (L+1) per amount.
+    const uint64_t L1 = 7, Beta = (L1 + Alpha - 1) / Alpha;
+    const uint64_t ModUp = Beta * (L1 + Alpha) - L1, ModDown = 2 * L1;
+
+    Backend.resetKeySwitchNttStats();
+    auto OutHoisted = conv2d(Backend, Enc, Conv, 1, 1, S);
+    auto Hoisted = Backend.keySwitchNttStats();
+    Backend.setRotationHoisting(false);
+    Backend.resetKeySwitchNttStats();
+    auto OutNaive = conv2d(Backend, Enc, Conv, 1, 1, S);
+    auto Naive = Backend.keySwitchNttStats();
+
+    std::string What = "alpha " + std::to_string(Alpha);
+    EXPECT_GT(Hoisted.HoistedBatches, 0u) << What;
+    EXPECT_GE(Hoisted.HoistedAmounts, 4 * Hoisted.HoistedBatches) << What;
+    EXPECT_EQ(Naive.Rotations, Hoisted.Rotations) << What;
+    EXPECT_EQ(Naive.ForwardNtts, Naive.Rotations * (ModUp + ModDown))
+        << What;
+    uint64_t SharedModUps = Hoisted.Rotations - Hoisted.HoistedAmounts +
+                            Hoisted.HoistedBatches;
+    EXPECT_EQ(Hoisted.ForwardNtts,
+              SharedModUps * ModUp + Hoisted.Rotations * ModDown)
+        << What;
+    EXPECT_EQ(Naive.InverseNtts - Hoisted.InverseNtts,
+              (Hoisted.HoistedAmounts - Hoisted.HoistedBatches) * L1)
+        << What;
+    ASSERT_EQ(OutHoisted.Cts.size(), OutNaive.Cts.size());
+    for (size_t I = 0; I < OutHoisted.Cts.size(); ++I)
+      EXPECT_EQ(serialize(OutHoisted.Cts[I]), serialize(OutNaive.Cts[I]))
+          << What;
+  }
 }
 
 } // namespace

@@ -84,7 +84,9 @@ TEST(NarrowPrimes, LeNetChainScalePrimesAreNarrow) {
   // scale plus precision headroom); every scale prime sits inside the
   // 28-32-bit packed-NTT domain.
   EXPECT_GE(P.ChainPrimes.front(), uint64_t(1) << 59);
-  EXPECT_GE(P.SpecialPrime, uint64_t(1) << 59);
+  ASSERT_FALSE(P.SpecialPrimes.empty());
+  for (uint64_t Special : P.SpecialPrimes)
+    EXPECT_GE(Special, uint64_t(1) << 59);
   for (size_t I = 1; I < P.ChainPrimes.size(); ++I) {
     EXPECT_TRUE(isNarrowModulus(P.ChainPrimes[I]))
         << "scale prime " << I << " = " << P.ChainPrimes[I];

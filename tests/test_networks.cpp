@@ -121,6 +121,8 @@ TEST(Networks, EncryptedPredictionAgreesWithPlain) {
   O.Scales = ScaleConfig::fromExponents(30, 30, 30, 16);
   CompiledCircuit C = compileCircuit(Circ, O);
   RnsCkksBackend Backend = makeRnsBackend(C);
+  // The footprint's key-material prediction is the backend's count.
+  EXPECT_EQ(C.Footprint.KeyBytes, Backend.keyBytes());
   int Agree = 0;
   const int Samples = 1; // one full encrypted inference keeps CI fast
 

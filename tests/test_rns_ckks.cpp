@@ -6,12 +6,16 @@
 
 #include "ckks/RnsCkks.h"
 
+#include "ckks/Serialization.h"
 #include "hisa/Hisa.h"
 #include "support/Error.h"
+#include "support/LimbPool.h"
 #include "support/Prng.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -227,6 +231,60 @@ TEST_F(RnsCkksTest, CandidateChainIsDisjointFromSpecial) {
   uint64_t Special = RnsCkksParams::candidateSpecial();
   for (uint64_t Q : Chain)
     EXPECT_NE(Q, Special);
+  // A chain of 60-bit scale primes draws from the special primes' own
+  // sequence; the derived list skips whatever the chain holds.
+  for (int ScaleBits : {40, 60}) {
+    auto Wide = RnsCkksParams::candidateChain(9, 60, ScaleBits);
+    auto List = RnsCkksParams::specialPrimesFor(Wide, 13, SecurityLevel::None);
+    ASSERT_EQ(List.size(), Wide.size()) << ScaleBits;
+    EXPECT_EQ(List.front(), Special);
+    std::vector<uint64_t> All = Wide;
+    All.insert(All.end(), List.begin(), List.end());
+    std::sort(All.begin(), All.end());
+    EXPECT_EQ(std::adjacent_find(All.begin(), All.end()), All.end());
+    for (uint64_t P : List)
+      EXPECT_EQ(P % (uint64_t(1) << 17), 1u); // NTT-friendly to LogN 16
+  }
+}
+
+TEST_F(RnsCkksTest, SpecialPrimesMinimizeKeyWordsWithinTheBudget) {
+  auto KeyWords = [](size_t L1, size_t A) {
+    return (L1 + A - 1) / A * (L1 + A);
+  };
+  // The 128-bit LeNet-5-small chain: 16 primes, logQ ~ 495 of the
+  // 881-bit LogN = 15 budget, so alpha <= 6; six wins (66 vs 272 words).
+  auto Chain = RnsCkksParams::candidateChain(16, 60, 29);
+  auto List = RnsCkksParams::specialPrimesFor(Chain, 15,
+                                              SecurityLevel::Classical128);
+  EXPECT_EQ(List.size(), 6u);
+  EXPECT_EQ(KeyWords(Chain.size(), List.size()), 66u);
+  // Exhaustively: in budget, minimal key words, ties to the smaller alpha.
+  for (int LogN : {12, 13, 14, 15, 16})
+    for (int Count : {1, 2, 5, 7, 12, 20}) {
+      auto C = RnsCkksParams::candidateChain(Count, 60, 30);
+      RnsCkksParams P;
+      P.LogN = LogN;
+      P.ChainPrimes = C;
+      P.SpecialPrimes = RnsCkksParams::specialPrimesFor(
+          C, LogN, SecurityLevel::Classical128);
+      size_t Alpha = P.SpecialPrimes.size();
+      ASSERT_GE(Alpha, 1u);
+      ASSERT_LE(Alpha, C.size());
+      double Spare = maxLogQForSecurity(LogN, SecurityLevel::Classical128) -
+                     P.logQ();
+      size_t MaxAlpha = std::max<size_t>(
+          1, std::min<size_t>(C.size(), Spare > 0 ? size_t(Spare / 60) : 0));
+      EXPECT_LE(Alpha, MaxAlpha);
+      if (Alpha > 1)
+        EXPECT_LE(P.logQP(), maxLogQForSecurity(LogN,
+                                                SecurityLevel::Classical128));
+      for (size_t A = 1; A <= MaxAlpha; ++A)
+        EXPECT_TRUE(KeyWords(C.size(), Alpha) < KeyWords(C.size(), A) ||
+                    (KeyWords(C.size(), Alpha) == KeyWords(C.size(), A) &&
+                     Alpha <= A))
+            << "LogN " << LogN << " chain " << Count << " alpha " << Alpha
+            << " vs " << A;
+    }
 }
 
 TEST_F(RnsCkksTest, SecurityCheckRejectsOversizedModulus) {
@@ -240,6 +298,226 @@ TEST_F(RnsCkksTest, FreeReleasesStorage) {
   Backend->freeCt(C);
   EXPECT_TRUE(C.C0.empty());
   EXPECT_TRUE(C.C1.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Hybrid key switching: byte identity with one special prime, correctness
+// and determinism with several.
+//===----------------------------------------------------------------------===//
+
+/// Restores the default thread pool and limb pool on scope exit.
+struct PoolsGuard {
+  bool WasEnabled = LimbPool::instance().enabled();
+  ~PoolsGuard() {
+    setGlobalThreadCount(0);
+    LimbPool::instance().setEnabled(WasEnabled);
+  }
+};
+
+uint64_t fnv1a(uint64_t H, const ByteBuffer &Bytes) {
+  for (uint8_t Byte : Bytes) {
+    H ^= Byte;
+    H *= 1099511628211ULL;
+  }
+  return H;
+}
+
+/// encrypt -> mul+relin -> rotate (dedicated key, power-of-two hops) ->
+/// rotLeftMany -> rescale, twice; returns the FNV-1a hash of every
+/// intermediate ciphertext's bytes.
+uint64_t onePrimePipelineHash() {
+  RnsCkksParams P = RnsCkksParams::create(12, 4, 60, 30);
+  P.Security = SecurityLevel::None;
+  P.Seed = 2024;
+  P.SpecialPrimes = {RnsCkksParams::candidateSpecial()};
+  RnsCkksBackend B(P);
+  B.generateRotationKeys({3});
+  uint64_t H = 1469598103934665603ULL;
+  auto Mix = [&](const RnsCkksBackend::Ct &C) { H = fnv1a(H, serialize(C)); };
+  Prng Rng(11);
+  std::vector<double> V1(B.slotCount()), V2(B.slotCount());
+  for (auto &X : V1)
+    X = Rng.nextDouble(-1, 1);
+  for (auto &X : V2)
+    X = Rng.nextDouble(-1, 1);
+  double S = std::ldexp(1.0, 30);
+  auto A = B.encrypt(B.encode(V1, S));
+  auto C = B.encrypt(B.encode(V2, S));
+  Mix(A);
+  B.mulAssign(A, C);
+  Mix(A);
+  B.rotLeftAssign(A, 3);
+  Mix(A);
+  B.rotLeftAssign(A, 5);
+  Mix(A);
+  for (auto &R : B.rotLeftMany(A, {1, 3, 0, 6}))
+    Mix(R);
+  B.rescaleAssign(A, B.maxRescale(A, uint64_t(1) << 31));
+  Mix(A);
+  B.mulAssign(A, A);
+  Mix(A);
+  for (auto &R : B.rotLeftMany(A, {3, 2}))
+    Mix(R);
+  B.rescaleAssign(A, B.maxRescale(A, uint64_t(1) << 31));
+  Mix(A);
+  return H;
+}
+
+TEST(RnsCkksHybrid, OneSpecialPrimeReproducesTheSinglePrimeBytes) {
+  // Recorded with the per-prime-digit key switch this construction
+  // generalizes (one special prime, one digit per chain prime).
+  constexpr uint64_t kRecorded = 0x84416cd9441df865ULL;
+  PoolsGuard Guard;
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    setGlobalThreadCount(Threads);
+    EXPECT_EQ(onePrimePipelineHash(), kRecorded) << Threads << " threads";
+  }
+  LimbPool::instance().setEnabled(false);
+  EXPECT_EQ(onePrimePipelineHash(), kRecorded) << "CHET_LIMB_POOL=off";
+}
+
+/// Seven chain primes (not a multiple of 2 or 3) keyed with the first
+/// \p Alpha special primes.
+RnsCkksParams hybridParams(size_t Alpha) {
+  RnsCkksParams P = RnsCkksParams::create(/*LogN=*/11, /*Levels=*/6, 60, 40);
+  P.Security = SecurityLevel::None;
+  P.Seed = 41;
+  P.StockPow2Keys = false;
+  P.SpecialPrimes = RnsCkksParams::specialPrimesFor(P.ChainPrimes, P.LogN,
+                                                    SecurityLevel::None);
+  P.SpecialPrimes.resize(Alpha);
+  return P;
+}
+
+/// At every level: a dedicated-key rotation, a power-of-two-hop rotation
+/// and a hoisted batch (each amount checked byte for byte against
+/// rotLeftAssign), then mul+relin and a rescale. Returns every
+/// ciphertext's bytes; \p MaxErr gets the worst decryption error.
+std::vector<ByteBuffer> hybridPipeline(size_t Alpha, double &MaxErr) {
+  RnsCkksBackend B(hybridParams(Alpha));
+  B.generateRotationKeys({2, 3, 4, 5}); // 6 runs as the hops 4 + 2
+  const size_t Slots = B.slotCount();
+  Prng Rng(17);
+  std::vector<double> Want(Slots);
+  for (auto &X : Want)
+    X = Rng.nextDouble(-1, 1);
+  const double Scale = std::ldexp(1.0, 40);
+  auto A = B.encrypt(B.encode(Want, Scale));
+  std::vector<ByteBuffer> Out;
+  MaxErr = 0;
+  auto Check = [&](const RnsCkksBackend::Ct &C, int Steps,
+                   const std::vector<double> &Values) {
+    auto Got = B.decode(B.decrypt(C));
+    for (size_t I = 0; I < Slots; ++I)
+      MaxErr = std::max(MaxErr,
+                        std::fabs(Got[I] - Values[(I + Steps) % Slots]));
+    Out.push_back(serialize(C));
+  };
+  while (true) {
+    for (int Steps : {3, 6}) {
+      auto R = B.copy(A);
+      B.rotLeftAssign(R, Steps);
+      Check(R, Steps, Want);
+    }
+    std::vector<int> Amounts = {3, 5, 0, 6};
+    auto Many = B.rotLeftMany(A, Amounts);
+    for (size_t I = 0; I < Amounts.size(); ++I) {
+      auto R = B.copy(A);
+      B.rotLeftAssign(R, Amounts[I]);
+      EXPECT_EQ(serialize(Many[I]), serialize(R))
+          << "alpha " << Alpha << " level " << A.Level << " amount "
+          << Amounts[I];
+      Check(Many[I], Amounts[I], Want);
+    }
+    if (A.Level == 0)
+      break;
+    auto Sq = B.copy(A);
+    B.mulAssign(Sq, A);
+    rescaleToFloor(B, Sq, Scale);
+    for (auto &X : Want)
+      X *= X;
+    A = std::move(Sq);
+    Check(A, 0, Want);
+  }
+  return Out;
+}
+
+TEST(RnsCkksHybrid, DecryptsWithinToleranceAtEveryLevel) {
+  PoolsGuard Guard;
+  setGlobalThreadCount(2);
+  for (size_t Alpha : {2u, 3u, 7u}) {
+    double MaxErr = 0;
+    hybridPipeline(Alpha, MaxErr);
+    EXPECT_LT(MaxErr, 1e-4) << "alpha " << Alpha;
+  }
+}
+
+TEST(RnsCkksHybrid, BytesIdenticalAcrossThreadsAndLimbPool) {
+  PoolsGuard Guard;
+  for (size_t Alpha : {2u, 3u, 7u}) {
+    double Err = 0;
+    setGlobalThreadCount(1);
+    std::vector<ByteBuffer> Ref = hybridPipeline(Alpha, Err);
+    for (unsigned Threads : {2u, 8u}) {
+      setGlobalThreadCount(Threads);
+      EXPECT_TRUE(hybridPipeline(Alpha, Err) == Ref)
+          << "alpha " << Alpha << ", " << Threads << " threads";
+    }
+    setGlobalThreadCount(2);
+    LimbPool::instance().setEnabled(false);
+    EXPECT_TRUE(hybridPipeline(Alpha, Err) == Ref)
+        << "alpha " << Alpha << ", CHET_LIMB_POOL=off";
+    LimbPool::instance().setEnabled(true);
+  }
+}
+
+TEST(RnsCkksHybrid, KeySwitchNttCountsMatchClosedForm) {
+  for (size_t Alpha : {1u, 2u, 3u, 7u}) {
+    RnsCkksBackend B(hybridParams(Alpha));
+    B.generateRotationKeys({1, 2, 3, 5});
+    std::vector<double> V(B.slotCount(), 0.5);
+    const double Scale = std::ldexp(1.0, 40);
+    auto A = B.encrypt(B.encode(V, Scale));
+    for (int Level : {6, 4, 1}) {
+      while (A.Level > Level)
+        B.rescaleAssign(A, B.params().ChainPrimes[A.Level]);
+      const uint64_t L1 = Level + 1;
+      const uint64_t Beta = (L1 + Alpha - 1) / Alpha;
+      // ModUp transforms every digit into every active modulus outside
+      // its group; ModDown takes alpha limbs down and L+1 back, per half.
+      const uint64_t ModUpFwd = Beta * (L1 + Alpha) - L1;
+      auto Expect = [&](uint64_t Fwd, uint64_t Inv, const char *What) {
+        auto S = B.keySwitchNttStats();
+        EXPECT_EQ(S.ForwardNtts, Fwd)
+            << What << " alpha " << Alpha << " level " << Level;
+        EXPECT_EQ(S.InverseNtts, Inv)
+            << What << " alpha " << Alpha << " level " << Level;
+        B.resetKeySwitchNttStats();
+      };
+      B.resetKeySwitchNttStats();
+      auto M = B.copy(A);
+      B.mulAssign(M, A);
+      Expect(ModUpFwd + 2 * L1, L1 + 2 * Alpha, "mul");
+      auto R = B.copy(A);
+      B.rotLeftAssign(R, 3);
+      Expect(ModUpFwd + 2 * L1, L1 + 2 * Alpha, "rotate");
+      B.rotLeftMany(A, {3, 5, 0, 1, 2});
+      Expect(ModUpFwd + 4 * 2 * L1, L1 + 4 * 2 * Alpha, "rotLeftMany");
+    }
+  }
+}
+
+TEST(RnsCkksHybrid, KeyBytesCountDigitsTimesModuli) {
+  for (size_t Alpha : {1u, 3u, 7u}) {
+    RnsCkksBackend B(hybridParams(Alpha));
+    B.generateRotationKeys({1, 2, 3, -1023});
+    EXPECT_EQ(B.rotationKeyCount(), 3u); // -1023 and 1 share a key
+    const uint64_t N = 2048, L1 = 7, Beta = (L1 + Alpha - 1) / Alpha;
+    const uint64_t Keys = 1 + B.rotationKeyCount(); // relin + Galois
+    EXPECT_EQ(B.keyBytes(),
+              (2 * L1 * N + Keys * Beta * (L1 + Alpha) * N * 2) * 8)
+        << "alpha " << Alpha;
+  }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -42,10 +43,80 @@ TEST(Serialization, RnsParamsRoundTrip) {
   ASSERT_TRUE(deserialize(B, Q));
   EXPECT_EQ(Q.LogN, P.LogN);
   EXPECT_EQ(Q.ChainPrimes, P.ChainPrimes);
-  EXPECT_EQ(Q.SpecialPrime, P.SpecialPrime);
+  EXPECT_EQ(Q.SpecialPrimes, P.SpecialPrimes);
   EXPECT_EQ(Q.Security, P.Security);
   EXPECT_EQ(Q.Seed, P.Seed);
   EXPECT_EQ(Q.StockPow2Keys, P.StockPow2Keys);
+}
+
+/// Parameters with a three-prime special list over a seven-prime chain.
+RnsCkksParams hybridRnsParams() {
+  RnsCkksParams P = testRnsParams();
+  P.ChainPrimes = RnsCkksParams::candidateChain(7);
+  P.SpecialPrimes = RnsCkksParams::specialPrimesFor(P.ChainPrimes, P.LogN,
+                                                    SecurityLevel::None);
+  P.SpecialPrimes.resize(3);
+  return P;
+}
+
+TEST(Serialization, RnsParamsRoundTripCarriesTheSpecialPrimeList) {
+  RnsCkksParams P = hybridRnsParams();
+  ASSERT_EQ(P.SpecialPrimes.size(), 3u);
+  RnsCkksParams Q;
+  ASSERT_TRUE(deserialize(serialize(P), Q));
+  EXPECT_EQ(Q.ChainPrimes, P.ChainPrimes);
+  EXPECT_EQ(Q.SpecialPrimes, P.SpecialPrimes);
+  EXPECT_EQ(serialize(Q), serialize(P));
+}
+
+TEST(Serialization, RnsParamsRejectBadSpecialPrimeLists) {
+  RnsCkksParams Q;
+  RnsCkksParams Empty = hybridRnsParams();
+  Empty.SpecialPrimes.clear();
+  EXPECT_FALSE(deserialize(serialize(Empty), Q));
+  RnsCkksParams Duplicate = hybridRnsParams();
+  Duplicate.SpecialPrimes[2] = Duplicate.SpecialPrimes[0];
+  EXPECT_FALSE(deserialize(serialize(Duplicate), Q));
+  RnsCkksParams Overlap = hybridRnsParams();
+  Overlap.SpecialPrimes[1] = Overlap.ChainPrimes[3];
+  EXPECT_FALSE(deserialize(serialize(Overlap), Q));
+  // The backend refuses the same lists.
+  EXPECT_THROW(RnsCkksBackend{Empty}, ChetError);
+  EXPECT_THROW(RnsCkksBackend{Duplicate}, ChetError);
+  EXPECT_THROW(RnsCkksBackend{Overlap}, ChetError);
+}
+
+TEST(Serialization, RnsParamsEveryTruncationFailsCleanly) {
+  ByteBuffer Wire = serialize(hybridRnsParams());
+  for (size_t Cut = 0; Cut < Wire.size(); ++Cut) {
+    ByteBuffer Truncated(Wire.begin(), Wire.begin() + Cut);
+    RnsCkksParams Out;
+    ASSERT_FALSE(deserialize(Truncated, Out)) << "cut at " << Cut;
+  }
+}
+
+TEST(Serialization, RnsParamsBitFlipsRejectOrKeepTheListInvariants) {
+  // Every single-bit corruption is rejected or decodes to parameters
+  // whose special-prime list is still non-empty and disjoint.
+  RnsCkksParams P = hybridRnsParams();
+  ByteBuffer Wire = serialize(P);
+  size_t Accepted = 0;
+  for (size_t Bit = 0; Bit < Wire.size() * 8; ++Bit) {
+    ByteBuffer Mutated = Wire;
+    Mutated[Bit / 8] ^= uint8_t(1) << (Bit % 8);
+    RnsCkksParams Out;
+    if (!deserialize(Mutated, Out))
+      continue;
+    ++Accepted;
+    ASSERT_FALSE(Out.SpecialPrimes.empty()) << "bit " << Bit;
+    std::vector<uint64_t> All = Out.ChainPrimes;
+    All.insert(All.end(), Out.SpecialPrimes.begin(), Out.SpecialPrimes.end());
+    std::sort(All.begin(), All.end());
+    EXPECT_EQ(std::adjacent_find(All.begin(), All.end()), All.end())
+        << "bit " << Bit;
+  }
+  // Tag and list-length flips are all rejected.
+  EXPECT_LT(Accepted, Wire.size() * 8);
 }
 
 TEST(Serialization, RnsCiphertextRoundTripsThroughTheWire) {
