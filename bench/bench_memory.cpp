@@ -71,6 +71,7 @@ struct SoundnessRow {
   const char *Scheme;
   uint64_t PredictedBytes = 0;
   uint64_t MeasuredPoolBytes = 0;
+  uint64_t KeyBytes = 0; ///< Evaluation keys the backend holds.
 };
 
 template <typename Backend>
@@ -108,9 +109,11 @@ std::vector<SoundnessRow> gateFootprintSoundness(
       if (Scheme == SchemeKind::RnsCkks) {
         RnsCkksBackend Bk = makeRnsBackend(C, BackendSeed);
         Row.MeasuredPoolBytes = measuredPoolHighWater(Bk, Circ, C);
+        Row.KeyBytes = Bk.keyBytes();
       } else {
         BigCkksBackend Bk = makeBigBackend(C, BackendSeed);
         Row.MeasuredPoolBytes = measuredPoolHighWater(Bk, Circ, C);
+        Row.KeyBytes = Bk.keyBytes();
       }
       if (Row.PredictedBytes < Row.MeasuredPoolBytes)
         failGate("footprint",
@@ -373,7 +376,8 @@ int main(int Argc, char **Argv) {
     JS << "{\"bench\":\"memory\",\"gate\":\"footprint\",\"net\":\"" << Row.Net
        << "\",\"scheme\":\"" << Row.Scheme
        << "\",\"predicted_bytes\":" << Row.PredictedBytes
-       << ",\"pool_high_water_bytes\":" << Row.MeasuredPoolBytes << "}";
+       << ",\"pool_high_water_bytes\":" << Row.MeasuredPoolBytes
+       << ",\"key_bytes\":" << Row.KeyBytes << "}";
     appendLine(JsonPath, JS.str());
   }
   std::printf("footprint gate passed: predictions upper-bound measured "

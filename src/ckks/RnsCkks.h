@@ -38,6 +38,15 @@
 /// the chain leaves over: the alpha that minimizes the key words
 /// beta * (L+1+alpha) among those that fit.
 ///
+/// Seeded keys. The a_g halves are pure PRNG output, so an evaluation key
+/// stores only its b_g halves plus, per (digit, modulus) block, the
+/// 32-byte state of the keygen stream just before that block of a_g was
+/// drawn; the inner product regenerates each block from its checkpoint
+/// (the trick SEAL's seeded keys use). Keygen consumes the stream in the
+/// same order it would to store a_g, so keys, ciphertexts and every later
+/// draw are unchanged, and key memory halves. The public key stays
+/// materialized.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHET_CKKS_RNSCKKS_H
@@ -245,16 +254,23 @@ public:
   KeySwitchNttStats keySwitchNttStats() const;
   void resetKeySwitchNttStats();
 
-  /// Bytes of evaluation key material held: the public key, the
-  /// relinearization key and every Galois key, counted from the stored
-  /// polynomials.
+  /// Bytes of evaluation key material held: the public key, and for the
+  /// relinearization key and every Galois key the stored b halves and
+  /// a-half seeds, plus each Galois key's NTT permutation table.
   uint64_t keyBytes() const;
 
 private:
+  /// Test-side access to the seeded key material.
+  friend struct RnsCkksKeyProbe;
+
+  /// A seeded key-switching key. B[g] holds, for digit g, one N-word NTT
+  /// polynomial per modulus (ChainLen chain primes then the alpha special
+  /// primes). The uniform halves a_{g,J} are not stored: Seeds[g * Moduli
+  /// + J] is the keygen stream's state just before a_{g,J} was drawn, and
+  /// drawUniform regenerates the block from it wherever it is read.
   struct KSwitchKey {
-    /// B[g] and A[g] hold, for digit g, one N-word NTT polynomial per
-    /// modulus (ChainLen chain primes then the alpha special primes).
-    std::vector<std::vector<uint64_t>> B, A;
+    std::vector<std::vector<uint64_t>> B;
+    std::vector<Prng> Seeds;
   };
   /// A Galois key with the NTT-domain index permutation realizing
   /// sigma_Elt, both built at keygen (single-threaded) so rotations read
@@ -292,7 +308,14 @@ private:
   /// Vector-returning convenience over smallToNttInto (keygen paths).
   std::vector<uint64_t> smallToNtt(const std::vector<int64_t> &Coeffs,
                                    size_t J) const;
-  std::vector<uint64_t> uniformNtt(size_t J);
+  /// Writes \p Count residues modulo modulus \p J drawn from \p Stream,
+  /// exactly the values Prng::nextBounded would return (reject a word
+  /// below 2^64 mod q, reduce the rest) without its two divisions.
+  /// Independent uniform residues per CRT component are uniform modulo
+  /// the full product, and the NTT is a bijection, so the draws serve
+  /// directly as NTT-form uniform polynomials.
+  void drawUniform(Prng &Stream, size_t J, uint64_t *Out,
+                   size_t Count) const;
 
   /// Builds a key-switching key for \p Target (NTT form, one polynomial
   /// per chain prime).
@@ -310,7 +333,8 @@ private:
 
   /// The per-key half (inner product + ModDown): writes
   /// round(sum_g sigma(Base_g) * Key_g / P) into OutB/OutA ((Level+1) * N
-  /// words each, NTT form). \p Perm applies sigma in the NTT domain; null
+  /// words each, NTT form), regenerating the key's a halves from their
+  /// seeds as it goes. \p Perm applies sigma in the NTT domain; null
   /// means the identity (relinearization). Every caller applies sigma at
   /// this one point, so hoisted and per-amount rotations agree bit for
   /// bit.
@@ -347,6 +371,8 @@ private:
   size_t ChainLen; ///< Number of chain primes (levels + 1).
   size_t Alpha;    ///< Number of special primes (digit width).
   std::vector<Modulus> ChainMods, SpecialMods;
+  /// 2^64 mod q per modulus: drawUniform's rejection threshold.
+  std::vector<uint64_t> UniformThreshold;
   std::vector<std::unique_ptr<NttTables>> ChainNtt, SpecialNtt;
   CkksEncoder Encoder;
   Prng Rng;

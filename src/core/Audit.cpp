@@ -8,6 +8,7 @@
 
 #include "core/Evaluate.h"
 #include "support/Error.h"
+#include "support/Prng.h"
 
 #include <algorithm>
 #include <cmath>
@@ -97,15 +98,18 @@ uint64_t predictedKeyBytes(const CompiledCircuit &Compiled) {
   Steps.erase(0);
   const uint64_t EvalKeys = 1 + Steps.size();
   if (Compiled.Rns) {
-    // Per key: beta digits x (L+1+alpha) moduli x N words x 2 halves.
+    // Per key and (digit, modulus) block: the N-word b half and the seed
+    // its a half regenerates from; per Galois key its NTT permutation.
     // Without special primes no backend (and so no key) can exist.
     const RnsCkksParams &P = *Compiled.Rns;
     if (P.SpecialPrimes.empty())
       return 0;
     uint64_t Chain = P.ChainPrimes.size();
-    uint64_t KeyWords = P.digitsAt(P.levels()) *
-                        (Chain + P.SpecialPrimes.size()) * N * 2;
-    return (2 * Chain * N + EvalKeys * KeyWords) * sizeof(uint64_t);
+    uint64_t Blocks =
+        P.digitsAt(P.levels()) * (Chain + P.SpecialPrimes.size());
+    return 2 * Chain * N * sizeof(uint64_t) +
+           EvalKeys * Blocks * (N * sizeof(uint64_t) + sizeof(Prng)) +
+           Steps.size() * N * sizeof(uint32_t);
   }
   if (Compiled.Big) {
     // Per key: two halves decomposed over the worst-case product's

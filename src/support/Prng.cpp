@@ -19,26 +19,10 @@ static uint64_t splitmix64(uint64_t &X) {
   return Z ^ (Z >> 31);
 }
 
-static inline uint64_t rotl(uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
-}
-
 void Prng::reseed(uint64_t Seed) {
   uint64_t S = Seed;
   for (uint64_t &Word : State)
     Word = splitmix64(S);
-}
-
-uint64_t Prng::next() {
-  uint64_t Result = rotl(State[1] * 5, 7) * 9;
-  uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
 }
 
 uint64_t Prng::nextBounded(uint64_t Bound) {

@@ -33,8 +33,20 @@ public:
   /// seeds yield unrelated streams.
   void reseed(uint64_t Seed);
 
-  /// Returns the next 64 uniformly random bits.
-  uint64_t next();
+  /// Returns the next 64 uniformly random bits. Inline: key switching
+  /// regenerates the uniform key halves from saved states, one call per
+  /// key word.
+  uint64_t next() {
+    uint64_t Result = rotl(State[1] * 5, 7) * 9;
+    uint64_t T = State[1] << 17;
+    State[2] ^= State[0];
+    State[3] ^= State[1];
+    State[1] ^= State[2];
+    State[0] ^= State[3];
+    State[2] ^= T;
+    State[3] = rotl(State[3], 45);
+    return Result;
+  }
 
   /// Returns a uniform value in [0, Bound). \p Bound must be nonzero.
   /// Uses rejection sampling, so the result is exactly uniform.
@@ -60,6 +72,10 @@ public:
   double nextNormal();
 
 private:
+  static uint64_t rotl(uint64_t X, int K) {
+    return (X << K) | (X >> (64 - K));
+  }
+
   uint64_t State[4];
 };
 

@@ -8,6 +8,7 @@
 
 #include "ckks/Serialization.h"
 #include "hisa/Hisa.h"
+#include "math/UIntArith.h"
 #include "support/Error.h"
 #include "support/LimbPool.h"
 #include "support/Prng.h"
@@ -17,12 +18,49 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 using namespace chet;
 
 static_assert(HisaBackend<RnsCkksBackend>,
               "RnsCkksBackend must satisfy the HISA concept");
+
+namespace chet {
+/// Reads the seeded key material RnsCkksBackend keeps private.
+struct RnsCkksKeyProbe {
+  /// The relinearization key (\p Step == 0) or the Galois key of a step.
+  static const RnsCkksBackend::KSwitchKey &key(const RnsCkksBackend &B,
+                                              int Step) {
+    return Step == 0
+               ? B.RelinKey
+               : B.GaloisKeys.at(B.Encoder.galoisElement(Step)).Key;
+  }
+  /// a_{g,J} of \p Step's key, regenerated from its checkpoint.
+  static std::vector<uint64_t> expandA(const RnsCkksBackend &B, int Step,
+                                       size_t G, size_t J) {
+    Prng Stream = key(B, Step).Seeds[G * (B.ChainLen + B.Alpha) + J];
+    std::vector<uint64_t> Out(B.Degree);
+    B.drawUniform(Stream, J, Out.data(), Out.size());
+    return Out;
+  }
+  /// The keygen stream's current state.
+  static Prng stream(const RnsCkksBackend &B) { return B.Rng; }
+  /// Every stored word of \p Step's key: the b halves, then the seeds.
+  static std::vector<uint8_t> stored(const RnsCkksBackend &B, int Step) {
+    const auto &K = key(B, Step);
+    std::vector<uint8_t> Bytes;
+    auto Append = [&](const void *Data, size_t Size) {
+      const auto *P = static_cast<const uint8_t *>(Data);
+      Bytes.insert(Bytes.end(), P, P + Size);
+    };
+    for (const auto &Half : K.B)
+      Append(Half.data(), Half.size() * sizeof(uint64_t));
+    Append(K.Seeds.data(), K.Seeds.size() * sizeof(Prng));
+    return Bytes;
+  }
+};
+} // namespace chet
 
 namespace {
 
@@ -513,11 +551,101 @@ TEST(RnsCkksHybrid, KeyBytesCountDigitsTimesModuli) {
     B.generateRotationKeys({1, 2, 3, -1023});
     EXPECT_EQ(B.rotationKeyCount(), 3u); // -1023 and 1 share a key
     const uint64_t N = 2048, L1 = 7, Beta = (L1 + Alpha - 1) / Alpha;
-    const uint64_t Keys = 1 + B.rotationKeyCount(); // relin + Galois
-    EXPECT_EQ(B.keyBytes(),
-              (2 * L1 * N + Keys * Beta * (L1 + Alpha) * N * 2) * 8)
+    const uint64_t Galois = B.rotationKeyCount(), Keys = 1 + Galois;
+    // Public key (2 x L1 limbs), then per key and (digit, modulus) block
+    // one b half and a 32-byte seed, then each Galois permutation.
+    EXPECT_EQ(B.keyBytes(), 2 * L1 * N * 8 +
+                                Keys * Beta * (L1 + Alpha) * (N * 8 + 32) +
+                                Galois * N * 4)
         << "alpha " << Alpha;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded keys: the uniform halves regenerate from per-block checkpoints.
+//===----------------------------------------------------------------------===//
+
+/// hybridParams(3) with its second special prime swapped for the first
+/// NTT-friendly prime above 2^59. Near 2^60, 2^64 mod q is tiny and
+/// rejection sampling never fires; just above 2^59 it rejects ~1/32 of
+/// the draws.
+RnsCkksParams rejectingParams() {
+  RnsCkksParams P = hybridParams(3);
+  uint64_t Q = (uint64_t(1) << 59) + 1;
+  while (!isPrime(Q))
+    Q += uint64_t(2) << P.LogN;
+  P.SpecialPrimes[1] = Q;
+  return P;
+}
+
+TEST(RnsCkksSeededKeys, CheckpointsReplayTheSequentialDrawOrder) {
+  const RnsCkksParams P = rejectingParams();
+  const std::vector<int> Steps = {1, 5};
+  RnsCkksBackend B(P);
+  B.generateRotationKeys(Steps);
+  const size_t N = size_t(1) << P.LogN;
+  const size_t Chain = P.ChainPrimes.size();
+  std::vector<uint64_t> Moduli = P.ChainPrimes;
+  Moduli.insert(Moduli.end(), P.SpecialPrimes.begin(), P.SpecialPrimes.end());
+
+  // Keygen's draws, one nextBounded per uniform word: the secret, the
+  // public key's error and a halves, then per key and digit the error
+  // followed by a_{g,0..Moduli-1}.
+  Prng Replay(P.Seed);
+  for (size_t K = 0; K < N; ++K)
+    Replay.nextTernary();
+  for (size_t K = 0; K < N; ++K)
+    Replay.nextCenteredGaussian();
+  for (size_t J = 0; J < Chain; ++J)
+    for (size_t K = 0; K < N; ++K)
+      Replay.nextBounded(Moduli[J]);
+  uint64_t Rejected = 0;
+  std::vector<int> Keys = {0};
+  Keys.insert(Keys.end(), Steps.begin(), Steps.end());
+  for (int Step : Keys) {
+    for (size_t G = 0; G < P.digitsAt(P.levels()); ++G) {
+      for (size_t K = 0; K < N; ++K)
+        Replay.nextCenteredGaussian();
+      for (size_t J = 0; J < Moduli.size(); ++J) {
+        const uint64_t Q = Moduli[J];
+        std::vector<uint64_t> Want(N);
+        for (uint64_t &V : Want) {
+          Prng Peek = Replay;
+          Rejected += Peek.next() < -Q % Q;
+          V = Replay.nextBounded(Q);
+        }
+        EXPECT_EQ(RnsCkksKeyProbe::expandA(B, Step, G, J), Want)
+            << "key " << Step << " digit " << G << " modulus " << J;
+      }
+    }
+  }
+  EXPECT_GT(Rejected, 0u) << "no draw exercised the rejection path";
+
+  // Encryption continues from the state the replay reached (the
+  // encrypt-after-keygen bytes themselves are pinned by
+  // OneSpecialPrimeReproducesTheSinglePrimeBytes).
+  Prng Left = RnsCkksKeyProbe::stream(B);
+  EXPECT_EQ(std::memcmp(&Left, &Replay, sizeof(Prng)), 0);
+}
+
+TEST(RnsCkksSeededKeys, KeygenIsIdenticalAcrossThreadsAndLimbPool) {
+  PoolsGuard Guard;
+  auto Material = [] {
+    RnsCkksBackend B(rejectingParams());
+    B.generateRotationKeys({1, 5});
+    std::vector<std::vector<uint8_t>> Out;
+    for (int Step : {0, 1, 5})
+      Out.push_back(RnsCkksKeyProbe::stored(B, Step));
+    return Out;
+  };
+  setGlobalThreadCount(1);
+  const auto Ref = Material();
+  for (unsigned Threads : {2u, 8u}) {
+    setGlobalThreadCount(Threads);
+    EXPECT_TRUE(Material() == Ref) << Threads << " threads";
+  }
+  LimbPool::instance().setEnabled(false);
+  EXPECT_TRUE(Material() == Ref) << "CHET_LIMB_POOL=off";
 }
 
 } // namespace
