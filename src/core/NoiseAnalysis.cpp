@@ -99,10 +99,12 @@ chet::rangeEnvelopes(const TensorCircuit &Circ, double InputAbs) {
       E.WeightAbs = Wmax;
       E.BiasAbs = maxAbs(N.Fc.Bias);
       E.OutAbs = Xin * L1 + E.BiasAbs;
-      // Replicate partial dot products and BSGS giant-step folds are
-      // subsums of sum_i |w_i x_i| <= L1 * Xin per slot; baby-step
+      // Replicate tree slots sum products of at most two rows' feature
+      // windows (a window straddles two adjacent packed rows), BSGS
+      // giant-step folds are subsums of one row: <= 2 * L1 * Xin per
+      // slot. Input copies never overlap nonzero slots and baby-step
       // rotations stay at Xin; slot masks only shrink values.
-      E.CapAbs = std::max(Xin, Xin * L1) + E.BiasAbs;
+      E.CapAbs = std::max(Xin, 2 * Xin * L1) + E.BiasAbs;
       break;
     }
     case OpKind::ConcatChannels: {

@@ -129,6 +129,7 @@ void parallelReduce(B &Backend, std::optional<typename B::Ct> &Acc,
 template <HisaBackend B>
 void applyValidMask(B &Backend, CipherTensor<B> &T, const ScaleConfig &S,
                     const KernelCache<B> &KC = {}) {
+  T.L.Support.clear();
   forEachIndex<B>(size_t(T.L.ctCount()), [&](size_t I) {
     auto Mask = cachedEncode(Backend, KC, kSubMask | I, T.L, S.Mask,
                              [&] { return buildValidMask(T.L, int(I)); });
@@ -207,14 +208,22 @@ inline void convOutputDims(int H, int W, int Kh, int Kw, int Stride, int Pad,
 
 /// Derives the output layout of a stride-\p Stride spatial op: the output
 /// lives on a sparser grid of the same physical image (no repacking).
+/// When \p Steps is given the op leaves its output unmasked: each output
+/// ciphertext is a sum of inputs rotated left by those amounts, and the
+/// layout records that support. Otherwise the output is masked (or
+/// zero off its valid positions by construction).
 inline TensorLayout stridedOutputLayout(const TensorLayout &In, int OutC,
-                                        int OutH, int OutW, int Stride) {
+                                        int OutH, int OutW, int Stride,
+                                        const std::vector<int> *Steps = nullptr) {
   TensorLayout L = In;
   L.C = OutC;
   L.H = OutH;
   L.W = OutW;
   L.SY = In.SY * Stride;
   L.SX = In.SX * Stride;
+  L.Support.clear();
+  if (Steps)
+    setSupport(L, rotateSupport(slotSupport(In), *Steps, In.Slots));
   return L;
 }
 
@@ -244,8 +253,21 @@ CipherTensor<B> conv2dHW(B &Backend, const CipherTensor<B> &In,
              In.L.OffY, ", ", In.L.OffX, ") cannot absorb pad ", Pad);
   int OutH, OutW;
   convOutputDims(In.L.H, In.L.W, Wt.Kh, Wt.Kw, Stride, Pad, OutH, OutW);
+  // Rotation of every tap some filter uses: an unmasked output is a sum of
+  // the input rotated by these.
+  std::vector<int> TapSteps;
+  for (int Dy = 0; Dy < Wt.Kh; ++Dy)
+    for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
+      bool AnyWeight = false;
+      for (int Co = 0; Co < Wt.Cout; ++Co)
+        for (int Ci = 0; Ci < Wt.Cin; ++Ci)
+          AnyWeight |= Wt.at(Co, Ci, Dy, Dx) != 0.0;
+      if (AnyWeight)
+        TapSteps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
+    }
   CipherTensor<B> Out;
-  Out.L = stridedOutputLayout(In.L, Wt.Cout, OutH, OutW, Stride);
+  Out.L = stridedOutputLayout(In.L, Wt.Cout, OutH, OutW, Stride,
+                              MaskOutput ? nullptr : &TapSteps);
 
   std::vector<std::optional<typename B::Ct>> Acc(Wt.Cout);
   if constexpr (BackendSupportsParallelKernels<B>) {
@@ -560,8 +582,13 @@ CipherTensor<B> averagePool(B &Backend, const CipherTensor<B> &In, int K,
              ", Stride = ", Stride);
   int OutH, OutW;
   convOutputDims(In.L.H, In.L.W, K, K, Stride, /*Pad=*/0, OutH, OutW);
+  std::vector<int> WindowSteps;
+  for (int J = 0; J < K; ++J)
+    for (int I = 0; I < K; ++I)
+      WindowSteps.push_back(In.L.rotationFor(J, I));
   CipherTensor<B> Out;
-  Out.L = stridedOutputLayout(In.L, In.L.C, OutH, OutW, Stride);
+  Out.L = stridedOutputLayout(In.L, In.L.C, OutH, OutW, Stride,
+                              MaskOutput ? nullptr : &WindowSteps);
 
   Out.Cts.resize(In.Cts.size());
   detail::forEachIndex<B>(In.Cts.size(), [&](size_t Idx) {
@@ -640,27 +667,38 @@ CipherTensor<B> polyActivation(B &Backend, const CipherTensor<B> &In,
 /// the same choice).
 enum class FcAlgorithm { Auto, Replicate, Bsgs };
 
-/// Fully connected layer by replicate-and-sum: for each output neuron,
-/// multiply by the weight row placed at the input's physical feature
-/// positions (so strided/decimated layouts need no compaction), sum all
-/// slots with log2(slots) power-of-two rotations, and select the neuron's
-/// slot with a mask.
+/// Fully connected layer by replicate-and-sum on a shared rotation tree
+/// (DESIGN.md §5l). planFcReplicate splits the slot index bits: each
+/// input ciphertext becomes the sum of its rotated copies (one rotation
+/// per copy bit), every output row reads its own copy through one packed
+/// weight plaintext per group, one rotate-and-sum over the sum bits puts
+/// every row's total at its own slot, and one mask keeps those slots --
+/// about log2(slots) rotations for a layer instead of Out * log2(slots).
+/// Where junk an unmasked producer left in the input would collide
+/// across copies, the plan trades copy bits for groups of rows; when the
+/// rows do not fit the copies of one ciphertext, it has no copies and one
+/// row per group: the per-row kernel (full tree, mask at the row's slot).
+/// Weights sit at the input's physical feature positions, so
+/// strided/decimated layouts need no compaction.
 ///
 /// \p OutKind selects the output layout, realizing the paper's layout
-/// policies (Section 5.3): CHW packs all neurons densely at slots
-/// 0..Out-1 of one ciphertext (the "fully connected layers are typically
-/// faster when the output is in CHW" case); HW keeps the literal HW
-/// discipline of one ciphertext per channel, i.e. one ciphertext per
-/// neuron, which makes everything downstream pay per-neuron costs.
+/// policies (Section 5.3): CHW packs all neurons into one ciphertext (the
+/// "fully connected layers are typically faster when the output is in
+/// CHW" case); HW keeps the literal HW discipline of one ciphertext per
+/// channel, i.e. one per-row group per neuron, which makes everything
+/// downstream pay per-neuron costs.
 ///
-/// Rows are independent up to the final neuron accumulation, so the
-/// parallel path maps rows concurrently and folds them in row order.
+/// Copies are independent per input ciphertext and groups are
+/// independent up to the final accumulation, so both map in parallel and
+/// groups fold in group order.
+///
+/// fullyConnectedPlanned runs a given plan (benchmarks compare the
+/// per-row plan against the chosen one); fullyConnectedReplicate plans.
 template <HisaBackend B>
-CipherTensor<B> fullyConnectedReplicate(B &Backend, const CipherTensor<B> &In,
-                                        const FcWeights &Wt,
-                                        const ScaleConfig &S,
-                                        LayoutKind OutKind = LayoutKind::CHW,
-                                        const KernelCache<B> &KC = {}) {
+CipherTensor<B> fullyConnectedPlanned(B &Backend, const CipherTensor<B> &In,
+                                      const FcWeights &Wt,
+                                      const ScaleConfig &S, const FcPlan &Plan,
+                                      const KernelCache<B> &KC = {}) {
   CHET_CHECK(Wt.In == In.L.C * In.L.H * In.L.W, LayoutMismatch,
              "FC feature count mismatch: weights expect ", Wt.In,
              " features, input provides ", In.L.C * In.L.H * In.L.W);
@@ -668,22 +706,38 @@ CipherTensor<B> fullyConnectedReplicate(B &Backend, const CipherTensor<B> &In,
   CHET_CHECK(static_cast<size_t>(Wt.Out) <= Slots, LayoutMismatch,
              "too many outputs: ", Wt.Out, " > ", Slots, " slots");
   CipherTensor<B> Out;
-  Out.L = OutKind == LayoutKind::CHW
-              ? makeDenseVectorLayout(Wt.Out, Slots)
-              : makeInputLayout(LayoutKind::HW, Wt.Out, 1, 1, 0, Slots);
+  Out.L = Plan.Out;
+  size_t Cts = size_t(In.L.ctCount());
 
-  // One output neuron: dot product, replicate into all slots, select.
-  auto RowDot = [&](int Row) -> typename B::Ct {
+  // Copy tree: x += rotLeft(x, 2^b) per copy bit. All amounts are powers
+  // of two (covered by the stock key set).
+  std::vector<typename B::Ct> Copies;
+  if (!Plan.CopySteps.empty()) {
+    Copies.resize(Cts);
+    detail::forEachIndex<B>(Cts, [&](size_t I) {
+      typename B::Ct X = Backend.copy(In.Cts[I]);
+      for (int Step : Plan.CopySteps)
+        Backend.addAssign(X, rotLeft(Backend, X, Step));
+      Copies[I] = std::move(X);
+    });
+    checkActiveDeadline("fullyConnected");
+  }
+  const std::vector<typename B::Ct> &Src =
+      Plan.CopySteps.empty() ? In.Cts : Copies;
+
+  // One group: packed dot products, sum tree, target-slot mask.
+  auto GroupDot = [&](size_t G) -> typename B::Ct {
+    const std::vector<FcPlan::Row> &Rows = Plan.Groups[G];
     std::optional<typename B::Ct> Dot;
-    for (int CtIdx = 0; CtIdx < In.L.ctCount(); ++CtIdx) {
-      if (!fcRowBlockHasWeight(In.L, Wt, Row, CtIdx))
+    for (size_t CtIdx = 0; CtIdx < Cts; ++CtIdx) {
+      if (!fcGroupBlockHasWeight(In.L, Wt, Rows, int(CtIdx)))
         continue;
-      auto P = cachedEncode(
-          Backend, KC,
-          kSubWeight | (uint64_t(Row) * In.L.ctCount() + uint64_t(CtIdx)),
-          In.L, S.Weight, [&] { return buildFcRow(In.L, Wt, Row, CtIdx); });
-      detail::accumulate(Backend, Dot,
-                         mulPlain(Backend, In.Cts[CtIdx], *P));
+      auto P = cachedEncode(Backend, KC, kSubWeight | (G * Cts + CtIdx), In.L,
+                            S.Weight, [&] {
+                              return buildFcGroupPlain(In.L, Wt, Rows,
+                                                       int(CtIdx));
+                            });
+      detail::accumulate(Backend, Dot, mulPlain(Backend, Src[CtIdx], *P));
     }
     if (!Dot)
       Dot = mulPlain(Backend, In.Cts[0],
@@ -691,36 +745,40 @@ CipherTensor<B> fullyConnectedReplicate(B &Backend, const CipherTensor<B> &In,
                                    [&] {
                        return std::vector<double>(Slots, 0.0);
                      }));
-    // Replicate the total into every slot: log2(slots) rotations, all by
-    // powers of two (covered by the stock key set).
-    for (size_t Step = 1; Step < Slots; Step <<= 1)
-      Backend.addAssign(*Dot, rotLeft(Backend, *Dot,
-                                      static_cast<int>(Step)));
-    size_t TargetSlot = OutKind == LayoutKind::CHW ? size_t(Row) : 0;
+    for (int Step : Plan.SumSteps)
+      Backend.addAssign(*Dot, rotLeft(Backend, *Dot, Step));
     Backend.mulPlainAssign(
-        *Dot,
-        *cachedEncode(Backend, KC, kSubSlotMask | uint64_t(Row), In.L,
-                      S.Mask,
-                      [&] { return buildSlotMask(Slots, TargetSlot); }));
+        *Dot, *cachedEncode(Backend, KC, kSubSlotMask | uint64_t(G), In.L,
+                            S.Mask,
+                            [&] { return buildFcGroupMask(Slots, Rows); }));
     rescaleToFloor(Backend, *Dot, S.Image);
     return std::move(*Dot);
   };
 
-  if (OutKind == LayoutKind::CHW) {
+  if (Plan.Out.Kind == LayoutKind::CHW) {
     std::optional<typename B::Ct> Acc;
-    detail::parallelReduce(Backend, Acc, size_t(Wt.Out),
-                           [&](size_t Row) -> std::optional<typename B::Ct> {
-                             return RowDot(int(Row));
+    detail::parallelReduce(Backend, Acc, Plan.Groups.size(),
+                           [&](size_t G) -> std::optional<typename B::Ct> {
+                             return GroupDot(G);
                            });
     Out.Cts.push_back(std::move(*Acc));
   } else {
-    Out.Cts.resize(size_t(Wt.Out));
-    detail::forEachIndex<B>(size_t(Wt.Out), [&](size_t Row) {
-      Out.Cts[Row] = RowDot(int(Row));
-    });
+    Out.Cts.resize(Plan.Groups.size());
+    detail::forEachIndex<B>(Plan.Groups.size(),
+                            [&](size_t G) { Out.Cts[G] = GroupDot(G); });
   }
   detail::addBias(Backend, Out, Wt.Bias, S, KC);
   return Out;
+}
+
+template <HisaBackend B>
+CipherTensor<B> fullyConnectedReplicate(B &Backend, const CipherTensor<B> &In,
+                                        const FcWeights &Wt,
+                                        const ScaleConfig &S,
+                                        LayoutKind OutKind = LayoutKind::CHW,
+                                        const KernelCache<B> &KC = {}) {
+  return fullyConnectedPlanned(Backend, In, Wt, S,
+                               planFcReplicate(In.L, Wt, OutKind), KC);
 }
 
 /// Giant step for a baby-step/giant-step sweep over \p Slots diagonals:
@@ -859,7 +917,9 @@ CipherTensor<B> fullyConnectedBsgs(B &Backend, const CipherTensor<B> &In,
 /// Deterministic algorithm choice (both the compiler's analysis
 /// interpretation and the real execution evaluate this on identical
 /// inputs, so they agree). Rough per-op weights: one rotation costs about
-/// six plaintext multiplications.
+/// six plaintext multiplications. Replicate is priced as the per-row
+/// kernel even where the shared tree packs the rows: the benchmark's
+/// decision table pins these choices (ROADMAP open item).
 inline FcAlgorithm fcAlgorithmFor(const TensorLayout &In,
                                   const FcWeights &Wt, LayoutKind OutKind) {
   if (OutKind == LayoutKind::HW || In.ctCount() > 1)
@@ -922,8 +982,14 @@ CipherTensor<B> concatChannels(B &Backend, const CipherTensor<B> &A,
       (A.L.C % A.L.ChPerCt == 0 && A.L.ChStride == Bt.L.ChStride)) {
     copyAll(A);
     copyAll(Bt);
+    std::vector<uint64_t> Both = slotSupport(A.L);
+    std::vector<uint64_t> FromB = slotSupport(Bt.L);
+    for (size_t W = 0; W < Both.size(); ++W)
+      Both[W] |= FromB[W];
+    setSupport(Out.L, std::move(Both));
     return Out;
   }
+  Out.L.Support.clear(); // every channel is masked below
 
   // General CHW path: assemble each output ciphertext channel by channel
   // with rotations and single-block masks (everything masked so all
@@ -998,6 +1064,10 @@ CipherTensor<B> convertLayout(B &Backend, const CipherTensor<B> &In,
     L.Kind = LayoutKind::CHW;
     L.ChStride = ChStride;
     L.ChPerCt = static_cast<int>(L.Slots / ChStride);
+    std::vector<int> BlockSteps;
+    for (int Block = 0; Block < std::min(L.C, L.ChPerCt); ++Block)
+      BlockSteps.push_back(-Block * ChStride);
+    setSupport(L, rotateSupport(slotSupport(In.L), BlockSteps, L.Slots));
     Out.L = L;
     std::vector<std::optional<typename B::Ct>> Acc(L.ctCount());
     if constexpr (BackendSupportsParallelKernels<B>) {
@@ -1031,6 +1101,7 @@ CipherTensor<B> convertLayout(B &Backend, const CipherTensor<B> &In,
   int ChStride = L.ChStride;
   L.ChStride = 0;
   L.ChPerCt = 1;
+  L.Support.clear(); // every channel is masked below
   Out.L = L;
   Out.Cts.resize(size_t(L.C));
   detail::forEachIndex<B>(size_t(L.C), [&](size_t CIdx) {

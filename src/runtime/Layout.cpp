@@ -8,6 +8,7 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace chet;
@@ -170,40 +171,271 @@ std::vector<double> chet::buildChwConvPlain(const TensorLayout &In,
   return Vec;
 }
 
-std::vector<double> chet::buildFcRow(const TensorLayout &In,
-                                     const FcWeights &Wt, int Row,
-                                     int CtIndex) {
-  assert(Wt.In == In.C * In.H * In.W && "FC input features mismatch");
-  std::vector<double> Vec(In.Slots, 0.0);
-  for (int F = 0; F < Wt.In; ++F) {
-    int C = F / (In.H * In.W);
-    int Rem = F % (In.H * In.W);
-    int Y = Rem / In.W;
-    int X = Rem % In.W;
-    if (In.ctOf(C) != CtIndex)
-      continue;
-    Vec[In.slotOf(C, Y, X)] = Wt.at(Row, F);
-  }
-  return Vec;
+namespace {
+
+using Bits = std::vector<uint64_t>;
+
+Bits emptyBits(size_t Slots) { return Bits((Slots + 63) / 64, 0); }
+
+
+void setBit(Bits &B, size_t I) { B[I / 64] |= uint64_t(1) << (I % 64); }
+
+/// Calls Fn(I) for every set bit I.
+template <typename FnT> void forEachBit(const Bits &B, FnT Fn) {
+  for (size_t W = 0; W < B.size(); ++W)
+    for (uint64_t V = B[W]; V; V &= V - 1)
+      Fn(W * 64 + static_cast<size_t>(__builtin_ctzll(V)));
 }
 
-bool chet::fcRowBlockHasWeight(const TensorLayout &In, const FcWeights &Wt,
-                               int Row, int CtIndex) {
-  assert(Wt.In == In.C * In.H * In.W && "FC input features mismatch");
-  for (int F = 0; F < Wt.In; ++F) {
-    if (In.ctOf(F / (In.H * In.W)) != CtIndex)
+Bits validBits(const TensorLayout &L) {
+  Bits B = emptyBits(L.Slots);
+  for (int C = 0; C < L.C; ++C)
+    for (int Y = 0; Y < L.H; ++Y)
+      for (int X = 0; X < L.W; ++X)
+        setBit(B, static_cast<size_t>(L.slotOf(C, Y, X)));
+  return B;
+}
+
+int log2Exact(size_t V) {
+  int L = 0;
+  while ((size_t(1) << L) < V)
+    ++L;
+  return L;
+}
+
+/// ORs into \p Out the bits of \p In rotated left by \p K (bit j + K
+/// moves to bit j), word by word when the (power-of-two) slot count fills
+/// whole words.
+void orRotated(Bits &Out, const Bits &In, long K, size_t Slots) {
+  long N = static_cast<long>(Slots);
+  K = (K % N + N) % N;
+  if (Slots < 64) {
+    forEachBit(In, [&](size_t S) {
+      setBit(Out, static_cast<size_t>((long(S) - K + N) % N));
+    });
+    return;
+  }
+  // Word J of In lands in words J - W (low part) and J - W - 1.
+  size_t Mask = In.size() - 1, W = size_t(K) / 64, B = size_t(K) % 64;
+  for (size_t J = 0; J <= Mask; ++J) {
+    if (!In[J])
       continue;
-    if (Wt.at(Row, F) != 0.0)
-      return true;
+    Out[(J - W) & Mask] |= In[J] >> B;
+    if (B)
+      Out[(J - W - 1) & Mask] |= In[J] << (64 - B);
+  }
+}
+
+/// Whether two of the copies x + rotLeft(x, D) for D in \p Shifts could
+/// put nonzero values in one slot: some supported slot S has S + D
+/// supported too.
+bool copiesCollide(const Bits &Support, const std::vector<long> &Shifts,
+                   size_t Slots) {
+  for (long D : Shifts) {
+    Bits Moved = emptyBits(Slots);
+    orRotated(Moved, Support, D, Slots);
+    for (size_t W = 0; W < Moved.size(); ++W)
+      if (Moved[W] & Support[W])
+        return true;
   }
   return false;
 }
 
-std::vector<double> chet::buildSlotMask(size_t Slots, size_t Slot) {
+std::vector<int> powersOf(int Lo, int Hi) {
+  std::vector<int> Steps;
+  for (int B = Lo; B < Hi; ++B)
+    Steps.push_back(1 << B);
+  return Steps;
+}
+
+} // namespace
+
+std::vector<uint64_t> chet::slotSupport(const TensorLayout &L) {
+  return L.Support.empty() ? validBits(L) : L.Support;
+}
+
+std::vector<uint64_t> chet::rotateSupport(const std::vector<uint64_t> &In,
+                                          const std::vector<int> &Steps,
+                                          size_t Slots) {
+  Bits Out = emptyBits(Slots);
+  for (int Step : Steps)
+    orRotated(Out, In, Step, Slots);
+  return Out;
+}
+
+void chet::setSupport(TensorLayout &L, std::vector<uint64_t> B) {
+  Bits Valid = validBits(L);
+  bool Inside = true;
+  for (size_t W = 0; W < B.size(); ++W)
+    Inside = Inside && (B[W] & ~Valid[W]) == 0;
+  if (Inside)
+    B.clear();
+  L.Support = std::move(B);
+}
+
+FcPlan chet::perRowFcPlan(const TensorLayout &In, const FcWeights &Wt,
+                          LayoutKind OutKind) {
+  FcPlan Plan;
+  Plan.SumSteps = powersOf(0, log2Exact(In.Slots));
+  for (int R = 0; R < Wt.Out; ++R)
+    Plan.Groups.push_back({{R, 0, OutKind == LayoutKind::CHW ? R : 0}});
+  Plan.Out = OutKind == LayoutKind::CHW
+                 ? makeDenseVectorLayout(Wt.Out, In.Slots)
+                 : makeInputLayout(LayoutKind::HW, Wt.Out, 1, 1, 0, In.Slots);
+  return Plan;
+}
+
+FcPlan chet::planFcReplicate(const TensorLayout &In, const FcWeights &Wt,
+                             LayoutKind OutKind) {
+  size_t Slots = In.Slots;
+  int LogSlots = log2Exact(Slots);
+  int Out = Wt.Out;
+  if (OutKind == LayoutKind::HW)
+    return perRowFcPlan(In, Wt, OutKind);
+
+  // Sum bits: every bit some feature offset p - P0 uses.
+  long P0 = static_cast<long>(Slots), Used = 0;
+  for (int C = 0; C < In.C; ++C)
+    P0 = std::min(P0, In.slotOf(C, 0, 0));
+  for (int C = 0; C < In.C; ++C)
+    for (int Y = 0; Y < In.H; ++Y)
+      for (int X = 0; X < In.W; ++X)
+        Used |= In.slotOf(C, Y, X) - P0;
+  int SumBits = __builtin_popcountl(static_cast<unsigned long>(Used));
+  int K = log2Exact(static_cast<size_t>(Out)); // copy bits one group needs
+  int Cts = In.ctCount();
+  Bits Support = slotSupport(In);
+
+  // Rotation counts of the candidate splits; per-row is the baseline.
+  long BestCost = long(Out) * LogSlots;
+  enum { Rows, Low, Top } Best = Rows;
+  int TopExtra = 0;
+
+  // Low: copy bits [0, K) under every sum bit; row r reads copy
+  // Out-1-r and lands at P0-Out+1+r, a dense run below P0.
+  if ((Used & ((long(1) << K) - 1)) == 0 && P0 >= Out - 1) {
+    std::vector<long> Shifts;
+    for (long D = 1; D < (long(1) << K); ++D)
+      Shifts.push_back(D);
+    long Cost = long(Cts) * K + SumBits;
+    if (Cost < BestCost && !copiesCollide(Support, Shifts, Slots)) {
+      BestCost = Cost;
+      Best = Low;
+    }
+  }
+  // Top: the input fits below bit LogSlots-K; copy bits [A, LogSlots)
+  // with A = LogSlots-K+E, where the 2^E groups extend the tree by bits
+  // [LogSlots-K, A) so that group g lands g windows lower. Fewer copies
+  // keep a dirty input's junk from colliding: once one E is
+  // collision-free all larger ones are too; among those take the
+  // cheapest.
+  if ((Used >> (LogSlots - K)) == 0) {
+    bool Free = false;
+    for (int E = 0; E <= K; ++E) {
+      int A = LogSlots - K + E;
+      if (!Free) {
+        std::vector<long> Shifts;
+        for (long D = long(1) << A; D < long(Slots); D += long(1) << A)
+          Shifts.push_back(D);
+        Free = !copiesCollide(Support, Shifts, Slots);
+        if (!Free)
+          continue;
+      }
+      long Groups = std::min<long>(long(1) << E, Out);
+      long Cost = long(Cts) * (K - E) + Groups * (SumBits + E);
+      if (Cost < BestCost) {
+        BestCost = Cost;
+        Best = Top;
+        TopExtra = E;
+      }
+    }
+  }
+  if (Best == Rows)
+    return perRowFcPlan(In, Wt, OutKind);
+
+  FcPlan Plan;
+  std::vector<int> Sum;
+  for (int B = 0; B < LogSlots; ++B)
+    if ((Used >> B) & 1)
+      Sum.push_back(1 << B);
+  Plan.Out = makeDenseVectorLayout(Out, Slots);
+  if (Best == Low) {
+    Plan.CopySteps = powersOf(0, K);
+    Plan.SumSteps = Sum;
+    long T0 = P0 - (Out - 1);
+    Plan.Groups.emplace_back();
+    for (int R = 0; R < Out; ++R)
+      Plan.Groups[0].push_back({R, long(Out - 1 - R), T0 + R});
+    Plan.Out.OffX = static_cast<int>(T0);
+    Plan.Out.PhysW = static_cast<int>(T0) + 1;
+    return Plan;
+  }
+  int E = TopExtra, A = LogSlots - K + E;
+  long Stride = long(1) << (LogSlots - K);
+  Plan.CopySteps = powersOf(A, LogSlots);
+  Plan.SumSteps = Sum;
+  for (int B = LogSlots - K; B < A; ++B)
+    Plan.SumSteps.push_back(1 << B);
+  std::sort(Plan.SumSteps.begin(), Plan.SumSteps.end());
+  // Row s lands at (P0 mod Stride) + s*Stride, n_s = (P0 - target) /
+  // Stride windows below P0: group n_s mod 2^E, copy (n_s >> E) << A.
+  std::vector<std::vector<FcPlan::Row>> ByGroup(size_t(1) << E);
+  long Q = P0 / Stride, Windows = long(1) << K;
+  for (int R = 0; R < Out; ++R) {
+    long N = ((Q - R) % Windows + Windows) % Windows;
+    long G = N & ((long(1) << E) - 1);
+    ByGroup[size_t(G)].push_back({R, (N >> E) << A, P0 % Stride + R * Stride});
+  }
+  for (auto &G : ByGroup)
+    if (!G.empty())
+      Plan.Groups.push_back(std::move(G));
+  Plan.Out.OffX = static_cast<int>(P0 % Stride);
+  Plan.Out.PhysW = static_cast<int>(Stride);
+  Plan.Out.ChStride = static_cast<int>(Stride);
+  Plan.Out.ChPerCt = static_cast<int>(Windows);
+  return Plan;
+}
+
+std::vector<double>
+chet::buildFcGroupPlain(const TensorLayout &In, const FcWeights &Wt,
+                        const std::vector<FcPlan::Row> &Group, int CtIndex) {
+  assert(Wt.In == In.C * In.H * In.W && "FC input features mismatch");
+  long N = static_cast<long>(In.Slots);
+  std::vector<double> Vec(In.Slots, 0.0);
+  for (int F = 0; F < Wt.In; ++F) {
+    int C = F / (In.H * In.W);
+    int Rem = F % (In.H * In.W);
+    if (In.ctOf(C) != CtIndex)
+      continue;
+    long Slot = In.slotOf(C, Rem / In.W, Rem % In.W);
+    for (const FcPlan::Row &R : Group)
+      Vec[size_t(((Slot - R.Shift) % N + N) % N)] = Wt.at(R.Index, F);
+  }
+  return Vec;
+}
+
+bool chet::fcGroupBlockHasWeight(const TensorLayout &In, const FcWeights &Wt,
+                                 const std::vector<FcPlan::Row> &Group,
+                                 int CtIndex) {
+  assert(Wt.In == In.C * In.H * In.W && "FC input features mismatch");
+  for (int F = 0; F < Wt.In; ++F) {
+    if (In.ctOf(F / (In.H * In.W)) != CtIndex)
+      continue;
+    for (const FcPlan::Row &R : Group)
+      if (Wt.at(R.Index, F) != 0.0)
+        return true;
+  }
+  return false;
+}
+
+std::vector<double>
+chet::buildFcGroupMask(size_t Slots, const std::vector<FcPlan::Row> &Group) {
   std::vector<double> Mask(Slots, 0.0);
-  CHET_CHECK(Slot < Slots, InvalidArgument,
-             "selector slot out of range: ", Slot, " >= ", Slots);
-  Mask[Slot] = 1.0;
+  for (const FcPlan::Row &R : Group) {
+    CHET_CHECK(R.Target >= 0 && size_t(R.Target) < Slots, InvalidArgument,
+               "selector slot out of range: ", R.Target, " >= ", Slots);
+    Mask[size_t(R.Target)] = 1.0;
+  }
   return Mask;
 }
 

@@ -25,7 +25,9 @@
 /// convolutions read zeros instead of wrapped garbage; the runtime
 /// maintains the invariant that every physical slot outside the valid
 /// logical positions is zero (re-established by masking where required --
-/// the multiplicative-depth cost the paper discusses in Section 3.1).
+/// the multiplicative-depth cost the paper discusses in Section 3.1);
+/// where it skips the mask, the layout's Support records which slots may
+/// still hold junk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,7 @@
 #include "runtime/PlainTensor.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
@@ -54,6 +57,13 @@ struct TensorLayout {
   int ChStride = 0;         ///< CHW: slots per channel block (power of 2).
   int ChPerCt = 1;          ///< Channels per ciphertext.
   size_t Slots = 0;         ///< Slot count of the backing ciphertexts.
+  /// Slots of any one ciphertext that may hold a nonzero value, one bit
+  /// per slot. Empty means only the valid positions (the margin
+  /// invariant). Kernels that skip their output mask record the wider
+  /// support their rotations leave behind (setSupport), so a kernel that
+  /// adds rotated copies of its input before multiplying (the shared-tree
+  /// FC) can tell zero slots from junk.
+  std::vector<uint64_t> Support;
 
   /// Number of ciphertexts the tensor occupies.
   int ctCount() const { return (C + ChPerCt - 1) / ChPerCt; }
@@ -86,6 +96,20 @@ struct TensorLayout {
 
   bool operator==(const TensorLayout &O) const = default;
 };
+
+/// Bitset of the slots that may be nonzero in some ciphertext of \p L:
+/// L.Support, or the valid positions when none is recorded.
+std::vector<uint64_t> slotSupport(const TensorLayout &L);
+
+/// Union of \p Bits rotated left by each of \p Steps (slot j + s moves to
+/// slot j): the support of a sum of rotated copies.
+std::vector<uint64_t> rotateSupport(const std::vector<uint64_t> &Bits,
+                                    const std::vector<int> &Steps,
+                                    size_t Slots);
+
+/// Records \p Bits as the support of \p L, or clears the record when
+/// \p Bits stays inside L's valid positions.
+void setSupport(TensorLayout &L, std::vector<uint64_t> Bits);
 
 /// Builds the layout for freshly packed input of shape C x H x W with a
 /// zero margin of \p PadPhys physical cells on every side.
@@ -128,20 +152,55 @@ std::vector<double> buildChwConvPlain(const TensorLayout &In,
                                       const ConvWeights &Wt, int Ob, int Ib,
                                       int D, int Dy, int Dx, int Pad);
 
-/// Weight vector for the replicate-and-sum FC kernel: row \p Row of \p Wt
-/// placed at the physical positions of the input features living in
-/// ciphertext \p CtIndex.
-std::vector<double> buildFcRow(const TensorLayout &In, const FcWeights &Wt,
-                               int Row, int CtIndex);
+/// How the replicate-and-sum FC kernel packs its output rows (DESIGN.md
+/// §5l). Each input ciphertext first becomes the sum of its copies
+/// x += rotLeft(x, s) for s in CopySteps; each group then multiplies
+/// those copies by one packed weight plaintext, rotate-and-sums over
+/// SumSteps, and masks its rows' target slots. The per-row kernel is the
+/// case with no copy steps, the full log2(slots) tree and one row per
+/// group.
+struct FcPlan {
+  struct Row {
+    int Index;   ///< Output neuron.
+    long Shift;  ///< Copy the row reads: its features sit Shift slots lower.
+    long Target; ///< Slot the row's total lands in.
+  };
+  std::vector<int> CopySteps;
+  std::vector<int> SumSteps;
+  std::vector<std::vector<Row>> Groups;
+  TensorLayout Out; ///< Layout of the (masked) output.
+};
 
-/// Whether buildFcRow(In, Wt, Row, CtIndex) would be nonzero, decided by
-/// scanning the row's weights (feature count) instead of materializing
-/// and rescanning the slot vector (slot count, typically 20x larger).
-bool fcRowBlockHasWeight(const TensorLayout &In, const FcWeights &Wt, int Row,
-                         int CtIndex);
+/// The per-row plan: no copies, the full log2(slots) tree, each row its
+/// own group landing at slot r of a dense vector (CHW) or at slot 0 of
+/// its own ciphertext (HW).
+FcPlan perRowFcPlan(const TensorLayout &In, const FcWeights &Wt,
+                    LayoutKind OutKind);
 
-/// Single-slot selector mask e_{Slot}.
-std::vector<double> buildSlotMask(size_t Slots, size_t Slot);
+/// Chooses the bit split for an FC layer from \p In to \p Wt.Out rows.
+/// A pure function of the layout (support included), the weights'
+/// shape and \p OutKind, so analysis and execution agree.
+FcPlan planFcReplicate(const TensorLayout &In, const FcWeights &Wt,
+                       LayoutKind OutKind);
+
+/// The packed weight plaintext of one plan group for input ciphertext
+/// \p CtIndex: each row's weights at its features' slots minus its copy
+/// shift.
+std::vector<double> buildFcGroupPlain(const TensorLayout &In,
+                                      const FcWeights &Wt,
+                                      const std::vector<FcPlan::Row> &Group,
+                                      int CtIndex);
+
+/// Whether buildFcGroupPlain would be nonzero, decided by scanning the
+/// group's weights (feature count) instead of materializing the slot
+/// vector (slot count, typically 20x larger).
+bool fcGroupBlockHasWeight(const TensorLayout &In, const FcWeights &Wt,
+                           const std::vector<FcPlan::Row> &Group,
+                           int CtIndex);
+
+/// 0/1 mask of a group's target slots.
+std::vector<double> buildFcGroupMask(size_t Slots,
+                                     const std::vector<FcPlan::Row> &Group);
 
 //===----------------------------------------------------------------------===//
 // Baby-step/giant-step FC support (Halevi-Shoup diagonals).

@@ -86,6 +86,8 @@ inline uint64_t layoutFingerprint(const TensorLayout &L) {
   Mix(static_cast<uint64_t>(L.ChStride));
   Mix(static_cast<uint64_t>(L.ChPerCt));
   Mix(static_cast<uint64_t>(L.Slots));
+  for (uint64_t W : L.Support)
+    Mix(W);
   return H;
 }
 

@@ -32,7 +32,7 @@ namespace {
 
 constexpr uint32_t CkptMagic = 0x54504b43;  // "CKPT" little-endian.
 constexpr uint32_t PlainCtMagic = 0x31544350; // "PCT1" little-endian.
-constexpr uint32_t CkptVersion = 1;
+constexpr uint32_t CkptVersion = 2; // 2: layouts carry their support.
 
 struct ByteWriter {
   ByteBuffer Out;
@@ -112,6 +112,9 @@ void writeLayout(ByteWriter &W, const TensorLayout &L) {
   W.i32(L.ChStride);
   W.i32(L.ChPerCt);
   W.u64(L.Slots);
+  W.u64(L.Support.size());
+  for (uint64_t Word : L.Support)
+    W.u64(Word);
 }
 
 TensorLayout readLayout(ByteReader &R) {
@@ -133,6 +136,14 @@ TensorLayout readLayout(ByteReader &R) {
   L.ChStride = R.i32();
   L.ChPerCt = R.i32();
   L.Slots = R.u64();
+  uint64_t Words = R.u64();
+  CHET_CHECK(Words == 0 || (Words == (L.Slots + 63) / 64 &&
+                            Words <= (R.In.size() - R.Pos) / 8),
+             MalformedCiphertext, "checkpoint layout support has ", Words,
+             " words for ", L.Slots, " slots");
+  L.Support.resize(Words);
+  for (uint64_t &Word : L.Support)
+    Word = R.u64();
   return L;
 }
 

@@ -368,3 +368,136 @@ TEST(Kernels, ConvThenPoolThenConvPipeline) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Shared-tree replicate FC (DESIGN.md §5l)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool allPowersOfTwo(const std::vector<int> &Steps, size_t Slots) {
+  for (int S : Steps)
+    if (S <= 0 || (S & (S - 1)) != 0 || size_t(S) > Slots / 2)
+      return false;
+  return true;
+}
+
+/// An unmasked 2x2/2 pool of a two-channel 8x8 HW image: valid features
+/// on a stride-2 grid, junk on every slot the window sums touched.
+template <HisaBackend B>
+CipherTensor<B> dirtyPooled(B &Backend, const Tensor3 &In,
+                            const ScaleConfig &S) {
+  TensorLayout L =
+      makeInputLayout(LayoutKind::HW, In.C, In.H, In.W, 0, Backend.slotCount());
+  return averagePool(Backend, encryptTensor(Backend, In, L, S), 2, 2, S,
+                     /*MaskOutput=*/false);
+}
+
+} // namespace
+
+TEST(Kernels, PackedFcWindowInputFeedsStridedInput) {
+  // Window input: the 8x8 image behind a one-cell margin starts at slot
+  // 11 and spans 7 bits, so 4 rows take copy bits [9, 11) and land at
+  // 11 + r * 512. The next layer reads that strided vector: its sum bits
+  // are {9, 10}, and 3 rows take copy bits [0, 2).
+  PlainBackend Backend(kLogN);
+  ScaleConfig S;
+  Tensor3 In = randomTensor(1, 8, 8, 40);
+  FcWeights Fc1 = randomFc(4, 64, 41);
+  FcWeights Fc2 = randomFc(3, 4, 42);
+  TensorLayout L =
+      makeInputLayout(LayoutKind::HW, 1, 8, 8, 1, Backend.slotCount());
+  auto Enc = encryptTensor(Backend, In, L, S);
+
+  FcPlan P1 = planFcReplicate(Enc.L, Fc1, LayoutKind::CHW);
+  EXPECT_EQ(P1.CopySteps, (std::vector<int>{512, 1024}));
+  EXPECT_EQ(P1.SumSteps.size(), 7u);
+  EXPECT_EQ(P1.Groups.size(), 1u);
+  auto H1 = fullyConnectedReplicate(Backend, Enc, Fc1, S);
+  EXPECT_EQ(H1.L.ChStride, 512);
+  EXPECT_EQ(H1.L.OffX, 11); // p0 mod 2^m is kept, not moved to slot 0
+  auto A1 = polyActivation(Backend, H1, 0.1, 1.0, S);
+
+  FcPlan P2 = planFcReplicate(A1.L, Fc2, LayoutKind::CHW);
+  EXPECT_EQ(P2.CopySteps, (std::vector<int>{1, 2}));
+  EXPECT_EQ(P2.SumSteps, (std::vector<int>{512, 1024}));
+  EXPECT_EQ(P2.Groups.size(), 1u);
+  auto Out = fullyConnectedReplicate(Backend, A1, Fc2, S);
+
+  Tensor3 Want = refFullyConnected(
+      refPolyActivation(refFullyConnected(In, Fc1), 0.1, 1.0), Fc2);
+  EXPECT_LT(maxAbsDiff(decryptTensor(Backend, Out), Want), 1e-9);
+  EXPECT_TRUE(allPowersOfTwo(P1.CopySteps, L.Slots));
+  EXPECT_TRUE(allPowersOfTwo(P1.SumSteps, L.Slots));
+  EXPECT_TRUE(allPowersOfTwo(P2.CopySteps, L.Slots));
+  EXPECT_TRUE(allPowersOfTwo(P2.SumSteps, L.Slots));
+}
+
+TEST(Kernels, PackedFcFallsBackToOneRowPerGroupPastTheCopies) {
+  // Two HW channels (two ciphertexts) of an 8x8 image at slot 0 span 6
+  // bits, leaving 2^5 = 32 copies in 2048 slots: 32 rows share one
+  // group, 33 rows fall back to the per-row kernel.
+  PlainBackend Backend(kLogN);
+  ScaleConfig S;
+  Tensor3 In = randomTensor(2, 8, 8, 43);
+  TensorLayout L =
+      makeInputLayout(LayoutKind::HW, 2, 8, 8, 0, Backend.slotCount());
+  auto Enc = encryptTensor(Backend, In, L, S);
+  ASSERT_EQ(Enc.L.ctCount(), 2);
+  for (int Out : {32, 33}) {
+    FcWeights Wt = randomFc(Out, 128, 44);
+    FcPlan P = planFcReplicate(Enc.L, Wt, LayoutKind::CHW);
+    if (Out == 32) {
+      EXPECT_EQ(P.CopySteps.size(), 5u);
+      EXPECT_EQ(P.Groups.size(), 1u);
+    } else {
+      EXPECT_TRUE(P.CopySteps.empty());
+      EXPECT_EQ(P.SumSteps.size(), 11u);
+      EXPECT_EQ(P.Groups.size(), 33u);
+    }
+    EXPECT_TRUE(allPowersOfTwo(P.CopySteps, L.Slots));
+    EXPECT_TRUE(allPowersOfTwo(P.SumSteps, L.Slots));
+    Tensor3 Got = decryptTensor(Backend, fullyConnectedReplicate(Backend, Enc,
+                                                                 Wt, S));
+    EXPECT_LT(maxAbsDiff(Got, refFullyConnected(In, Wt)), 1e-9) << Out;
+  }
+}
+
+TEST(Kernels, PackedFcKeepsJunkCopiesApart) {
+  // The unmasked pool leaves junk down to 9 slots below slot 0 (wrapping
+  // to the top of the ciphertext). 32 rows would need a copy every 64
+  // slots, and that wrap-around junk would land on features; the plan
+  // halves the copies and lands the rows in two groups instead.
+  PlainBackend Backend(kLogN);
+  ScaleConfig S;
+  Tensor3 In = randomTensor(2, 8, 8, 45);
+  auto Pooled = dirtyPooled(Backend, In, S);
+  ASSERT_FALSE(Pooled.L.Support.empty());
+  FcWeights Wt = randomFc(32, 2 * 4 * 4, 46);
+  FcPlan P = planFcReplicate(Pooled.L, Wt, LayoutKind::CHW);
+  EXPECT_EQ(P.CopySteps, (std::vector<int>{128, 256, 512, 1024}));
+  EXPECT_EQ(P.Groups.size(), 2u);
+  Tensor3 Got =
+      decryptTensor(Backend, fullyConnectedReplicate(Backend, Pooled, Wt, S));
+  EXPECT_LT(maxAbsDiff(Got, refFullyConnected(refAveragePool(In, 2, 2), Wt)),
+            1e-9);
+}
+
+TEST(Kernels, PackedFcIsIdenticalAcrossThreadCounts) {
+  PlainBackend Backend(kLogN);
+  ScaleConfig S;
+  Tensor3 In = randomTensor(2, 8, 8, 47);
+  FcWeights Wt = randomFc(32, 2 * 4 * 4, 48);
+  std::vector<double> Want;
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    setGlobalThreadCount(Threads);
+    auto Out = fullyConnectedReplicate(Backend, dirtyPooled(Backend, In, S),
+                                       Wt, S);
+    ASSERT_EQ(Out.Cts.size(), 1u);
+    if (Want.empty())
+      Want = Out.Cts[0].Values;
+    else
+      EXPECT_EQ(Out.Cts[0].Values, Want) << Threads << " threads";
+  }
+  setGlobalThreadCount(0);
+}

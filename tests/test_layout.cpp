@@ -140,7 +140,7 @@ TEST(Layout, FcRowPlacesWeightsAtFeaturePositions) {
     for (int F = 0; F < Wt.In; ++F)
       Wt.at(O, F) = O * 100 + F;
   for (int Ct = 0; Ct < 2; ++Ct) {
-    auto Row = buildFcRow(L, Wt, 2, Ct);
+    auto Row = buildFcGroupPlain(L, Wt, {{2, 0, 2}}, Ct);
     for (int F = 0; F < Wt.In; ++F) {
       int C = F / 9, Rem = F % 9;
       if (C != Ct)

@@ -28,8 +28,6 @@
 #include "support/Prng.h"
 #include "support/ThreadPool.h"
 
-#include "RssBudget.h"
-
 #include <gtest/gtest.h>
 
 #include <mutex>
@@ -320,12 +318,6 @@ TEST(LimbPoolByteIdentity, BigCkksPooledMatchesUnpooled) {
 //===----------------------------------------------------------------------===//
 
 TEST(LimbPoolSteadyState, WarmLeNetInferenceHasZeroPoolMisses) {
-  chet::test::allowRssAboveBudget(
-      2200, "LeNet-5-small(1/4) at 128-bit security needs logN 15: ~1 GB of "
-            "seeded evaluation keys plus two warm inferences' pool arenas "
-            "peak at 2,008-2,041 MiB on 4 threads, within 10 MiB of the "
-            "budget; the galois_key_memory ctest lock keeps it apart from "
-            "test_networks");
   PoolModeGuard Guard;
   LimbPool &Pool = LimbPool::instance();
   Pool.setEnabled(true);

@@ -9,8 +9,6 @@
 #include "core/Compiler.h"
 #include "runtime/ReferenceOps.h"
 
-#include "RssBudget.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -115,12 +113,6 @@ TEST(Networks, BatchNormFoldingMatchesExplicitBn) {
 }
 
 TEST(Networks, EncryptedPredictionAgreesWithPlain) {
-  chet::test::allowRssAboveBudget(
-      2200, "LeNet-5-small(1/4) at 128-bit security needs logN 15: ~1 GB of "
-            "seeded evaluation keys plus the encrypted working set peak at "
-            "1,973-1,975 MiB on 4 threads, within 75 MiB of the budget; "
-            "the galois_key_memory ctest lock keeps it apart from "
-            "test_limb_pool");
   // The substitution for the paper's accuracy-parity experiment: the
   // encrypted network must predict the same class as the float network.
   TensorCircuit Circ = makeLeNet5Small(/*Reduction=*/4);

@@ -153,6 +153,30 @@ ChaosOutcome rnsChaosRun(const TensorCircuit &Circ, const CompiledCircuit &C,
   return {serializeAll(Out.Cts), Sess.report(), Chaos.stats()};
 }
 
+/// Homomorphic-op ordinal at the end of every node of the clean chaos
+/// stack's schedule (the ordinal domain of FaultPlan::CrashAtOps): node
+/// K's evaluation issues ordinals [Ends[K-1], Ends[K]).
+std::vector<long> rnsOpsAtNodeEnds(const TensorCircuit &Circ,
+                                   const CompiledCircuit &C,
+                                   const Tensor3 &Image) {
+  setGlobalThreadCount(1);
+  RnsCkksBackend Raw = makeRnsBackend(C, BackendSeed);
+  RnsInteg Integ(Raw);
+  RnsChaos Chaos(Integ, FaultPlan{});
+  TensorLayout L = circuitInputLayout(Circ, C.Policy, Chaos.slotCount());
+  auto Enc = retag<RnsChaos>(encryptTensor(Integ, Image, L, C.Scales));
+  std::vector<bool> NeedsMask = detail::computeMaskNeeds(Circ, C.Policy);
+  std::vector<std::optional<CipherTensor<RnsChaos>>> Vals(Circ.ops().size());
+  std::vector<long> Ends;
+  for (const OpNode &Node : Circ.ops()) {
+    if (Node.Kind != OpKind::Output)
+      detail::evaluateNode(Chaos, Node, Vals, NeedsMask, Enc, C.Scales,
+                           C.Policy);
+    Ends.push_back(Chaos.stats().OpsSeen);
+  }
+  return Ends;
+}
+
 void expectSameBytes(const std::vector<ByteBuffer> &Want,
                      const std::vector<ByteBuffer> &Got, const char *What) {
   ASSERT_EQ(Want.size(), Got.size()) << What;
@@ -207,12 +231,27 @@ TEST(Session, SeededChaosScheduleRecoversByteIdenticalAcrossThreads) {
   Tensor3 Image = randomImageFor(Circ, 42);
   std::vector<ByteBuffer> Ref = rnsReference(Circ, C, Image);
 
-  // Probe the clean run's homomorphic op count so the crash schedule can
-  // target the back half of the circuit.
+  // Probe the clean run's homomorphic op count, and where each node's ops
+  // end, so the crash schedule can target the back half of the circuit.
   long TotalOps =
       rnsChaosRun(Circ, C, Image, FaultPlan{}, SessionConfig{}, 1)
           .Faults.OpsSeen;
   ASSERT_GT(TotalOps, 10);
+  std::vector<long> Ends = rnsOpsAtNodeEnds(Circ, C, Image);
+  ASSERT_EQ(Ends.back(), TotalOps);
+
+  // The newest everyN(2) checkpoint before the last compute node; crash
+  // halfway through the ops after it, then halfway through their replay,
+  // so both crashes restore from that checkpoint.
+  constexpr int CkptEvery = 2;
+  int LastCompute = static_cast<int>(Circ.ops().size()) - 2;
+  int Ckpt = -1;
+  for (int K = 0, Last = -1; K < LastCompute; ++K)
+    if (K - Last >= CkptEvery)
+      Ckpt = Last = K;
+  ASSERT_GE(Ckpt, 0);
+  long Tail = Ends[LastCompute] - Ends[Ckpt];
+  ASSERT_GT(Tail, 2);
 
   FaultPlan Plan;
   Plan.Seed = 0xc7a05;
@@ -220,12 +259,13 @@ TEST(Session, SeededChaosScheduleRecoversByteIdenticalAcrossThreads) {
   Plan.MaxTransientFaults = 2;
   Plan.BitFlipRate = 0.004;
   Plan.MaxBitFlips = 2;
-  Plan.CrashAtOps = {TotalOps / 2, (TotalOps * 8) / 10};
+  long FirstCrash = Ends[Ckpt] + Tail / 2;
+  Plan.CrashAtOps = {FirstCrash, FirstCrash + 1 + Tail / 2};
 
   for (unsigned Threads : {1u, 2u, 8u}) {
     MemoryCheckpointStore Store;
     SessionConfig Cfg;
-    Cfg.Checkpoint = CheckpointPolicy::everyN(2);
+    Cfg.Checkpoint = CheckpointPolicy::everyN(CkptEvery);
     Cfg.Store = &Store;
     Cfg.IntegrityCheckEveryNodes = 1;
     Cfg.Retry.MaxAttempts = 4;
