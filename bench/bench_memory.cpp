@@ -12,7 +12,9 @@
 ///       a. Footprint soundness: for every zoo network on both CKKS
 ///          schemes, the compiler's static peak-footprint prediction
 ///          must upper-bound the limb-pool high-water measured over a
-///          real encrypted inference.
+///          real encrypted inference, and its key-material prediction
+///          must equal the bytes the backend's (level-trimmed) keys
+///          hold.
 ///       b. Pressure soak: a three-tenant chaos schedule is run once
 ///          unconstrained (budget 0; the governor's ledger still
 ///          records the reservation peak), then again under a budget of
@@ -115,6 +117,12 @@ std::vector<SoundnessRow> gateFootprintSoundness(
         Row.MeasuredPoolBytes = measuredPoolHighWater(Bk, Circ, C);
         Row.KeyBytes = Bk.keyBytes();
       }
+      if (Row.KeyBytes != C.Footprint.KeyBytes)
+        failGate("footprint",
+                 Row.Net + " (" + Row.Scheme + "): backend holds " +
+                     std::to_string(Row.KeyBytes) +
+                     " B of keys, footprint predicted " +
+                     std::to_string(C.Footprint.KeyBytes) + " B");
       if (Row.PredictedBytes < Row.MeasuredPoolBytes)
         failGate("footprint",
                  Row.Net + " (" + Row.Scheme + "): predicted " +
@@ -381,7 +389,9 @@ int main(int Argc, char **Argv) {
     appendLine(JsonPath, JS.str());
   }
   std::printf("footprint gate passed: predictions upper-bound measured "
-              "pool high-water on %zu network/scheme pairs\n", Rows.size());
+              "pool high-water and equal the key bytes on %zu "
+              "network/scheme pairs\n",
+              Rows.size());
 
   std::string SoakJson;
   uint64_t UnconstrainedPeak = gatePressureSoak(SoakJson);

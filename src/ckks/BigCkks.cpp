@@ -12,6 +12,7 @@
 #include "support/LimbPool.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -197,7 +198,7 @@ BigCkksBackend::BigCkksBackend(const BigCkksParams &ParamsIn)
   {
     std::vector<BigInt> S2(Degree);
     Ring.multiply(Secret.data(), Secret.data(), S2.data(), LogN + 4);
-    RelinKey = makeEvalKey(S2);
+    RelinKey = makeEvalKey(S2, Params.LogQ);
   }
 
   // Stock power-of-two rotation keys (Section 2.4).
@@ -240,12 +241,17 @@ std::vector<BigInt> BigCkksBackend::sampleError() {
 }
 
 BigCkksBackend::EvalKey
-BigCkksBackend::makeEvalKey(const std::vector<BigInt> &Target) {
-  int LogPQ = Params.logQP();
+BigCkksBackend::makeEvalKey(const std::vector<BigInt> &Target, int LogQ) {
   int LogP = Params.effectiveLogSpecial();
-  std::vector<BigInt> A = sampleUniform(LogPQ);
+  // The key is read only mod 2^Width (DESIGN.md section 5m). A is drawn
+  // at full width so the RNG stream does not depend on the level; the
+  // product A * s is then formed from A's residue, which agrees with the
+  // full product mod 2^Width.
+  int Width = LogQ + LogP;
+  std::vector<BigInt> A = sampleUniform(Params.logQP());
+  parallelFor(0, Degree, 256, [&](size_t K) { A[K].centerMod2k(Width); });
   std::vector<BigInt> B(Degree);
-  Ring.multiply(A.data(), Secret.data(), B.data(), LogPQ + LogN + 3);
+  Ring.multiply(A.data(), Secret.data(), B.data(), Width + LogN + 3);
   std::vector<BigInt> E = sampleError();
   parallelFor(0, Degree, 256, [&](size_t K) {
     B[K].negate();
@@ -254,32 +260,55 @@ BigCkksBackend::makeEvalKey(const std::vector<BigInt> &Target) {
     BigInt T = Target[K];
     T.shiftLeft(LogP);
     B[K] += T;
-    B[K].centerMod2k(LogPQ);
+    B[K].centerMod2k(Width);
   });
   EvalKey Key;
-  // Worst-case key-switch product: |d| < 2^LogQ/2, |key| < 2^LogPQ/2,
+  Key.LogQ = LogQ;
+  // Worst-case key-switch product: |d| < 2^LogQ/2, |key| < 2^Width/2,
   // times N terms.
-  Key.PrimeCount = Ring.primesForBits(Params.LogQ + LogPQ + LogN + 2);
+  Key.PrimeCount = keySwitchPrimes(LogQ, Key);
   Ring.decomposeNtt(B.data(), Key.PrimeCount, Key.B);
   Ring.decomposeNtt(A.data(), Key.PrimeCount, Key.A);
   return Key;
 }
 
+int BigCkksBackend::keySwitchPrimes(int CtLogQ, const EvalKey &Key) const {
+  return BigPolyRing::primesForBits(CtLogQ + Key.LogQ +
+                                    Params.effectiveLogSpecial() + LogN + 2);
+}
+
+void BigCkksBackend::requireKeyLevel(const EvalKey &Key, int Steps,
+                                     int CtLogQ) const {
+  CHET_CHECK(CtLogQ <= Key.LogQ, MissingRotationKey,
+             "the Galois key for rotation by ", Steps,
+             " was generated for LogQ ", Key.LogQ,
+             " but the ciphertext is at LogQ ", CtLogQ);
+}
+
 void BigCkksBackend::generateRotationKeys(const std::vector<int> &Steps) {
-  int Slots = static_cast<int>(slotCount());
-  for (int Step : Steps) {
-    int Norm = ((Step % Slots) + Slots) % Slots;
-    if (Norm == 0)
-      continue;
-    RotationSteps.insert(Norm);
-    uint64_t Elt = Encoder.galoisElement(Step);
-    if (GaloisKeys.count(Elt))
-      continue;
-    std::vector<BigInt> Rotated(Degree);
-    applyAutomorphismBig(Secret.data(), Rotated.data(), Degree, Elt);
-    GaloisKeys.emplace(Elt, makeEvalKey(Rotated));
-    GaloisPerms.emplace(Elt, galoisNttPermutation(LogN, Elt));
-  }
+  for (int Step : Steps)
+    generateRotationKey(Step, Params.LogQ);
+}
+
+void BigCkksBackend::generateRotationKey(int Steps, int LogQ) {
+  CHET_CHECK(LogQ >= 1 && LogQ <= Params.LogQ, InvalidArgument,
+             "Galois key LogQ ", LogQ, " is outside 1..", Params.LogQ);
+  int Norm = normalizeRotation(Steps, slotCount());
+  if (Norm == 0)
+    return;
+  RotationSteps.insert(Norm);
+  uint64_t Elt = Encoder.galoisElement(Norm);
+  auto It = GaloisKeys.find(Elt);
+  if (It != GaloisKeys.end() && It->second.LogQ >= LogQ)
+    return;
+  std::vector<BigInt> Rotated(Degree);
+  applyAutomorphismBig(Secret.data(), Rotated.data(), Degree, Elt);
+  EvalKey Key = makeEvalKey(Rotated, LogQ);
+  if (It != GaloisKeys.end())
+    It->second = std::move(Key);
+  else
+    GaloisKeys.emplace(Elt, std::move(Key));
+  GaloisPerms.emplace(Elt, galoisNttPermutation(LogN, Elt));
 }
 
 uint64_t BigCkksBackend::keyBytes() const {
@@ -508,9 +537,9 @@ void BigCkksBackend::keySwitch(const std::vector<BigInt> &D, int CtLogQ,
                                const EvalKey &Key, std::vector<BigInt> &OutB,
                                std::vector<BigInt> &OutA) {
   int LogP = Params.effectiveLogSpecial();
-  int Bits = CtLogQ + Params.logQP() + LogN + 2;
-  int Count = Ring.primesForBits(Bits);
-  assert(Count <= Key.PrimeCount && "evaluation key has too few primes");
+  int Count = keySwitchPrimes(CtLogQ, Key);
+  CHET_CHECK(CtLogQ <= Key.LogQ, MissingRotationKey, "key switch at LogQ ",
+             CtLogQ, " reads a key generated for LogQ ", Key.LogQ);
 
   LimbBuffer DRns(size_t(Count) * Degree);
   Ring.decomposeNttFlat(D.data(), Count, DRns.data());
@@ -660,6 +689,7 @@ void BigCkksBackend::rotLeftAssign(Ct &C, int Steps) {
   uint64_t Elt = Encoder.galoisElement(S);
   auto It = GaloisKeys.find(Elt);
   if (It != GaloisKeys.end()) {
+    requireKeyLevel(It->second, S, C.LogQ);
     rotateByElement(C, Elt, It->second);
     return;
   }
@@ -672,6 +702,7 @@ void BigCkksBackend::rotLeftAssign(Ct &C, int Steps) {
           " (power-of-two decomposition needs step ", Step,
           "); available rotation steps: ",
           describeRotationSteps(RotationSteps)));
+    requireKeyLevel(KeyIt->second, Step, C.LogQ);
     rotateByElement(C, E, KeyIt->second);
   });
 }
@@ -701,6 +732,7 @@ BigCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
     auto PermIt = GaloisPerms.find(Elt);
     if (Hoisting && KeyIt != GaloisKeys.end() &&
         PermIt != GaloisPerms.end()) {
+      requireKeyLevel(KeyIt->second, static_cast<int>(S), C.LogQ);
       Hoist.push_back({I, Elt, &KeyIt->second, &PermIt->second});
     } else {
       Out[I] = C;
@@ -710,19 +742,23 @@ BigCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
   if (Hoist.empty())
     return Out;
 
-  // Shared half of the key switch: one RNS/NTT decomposition of c1,
-  // sized exactly as keySwitch would size it for this ciphertext.
+  // Shared half of the key switch: one RNS/NTT decomposition of c1 over
+  // the widest basis any amount's key needs. Each amount reads the prefix
+  // keySwitch would decompose over for its key.
   int LogP = Params.effectiveLogSpecial();
-  int Bits = C.LogQ + Params.logQP() + LogN + 2;
-  int Count = Ring.primesForBits(Bits);
-  LimbBuffer DRns(size_t(Count) * Degree);
-  Ring.decomposeNttFlat(C.C1.data(), Count, DRns.data());
-  KsStats->ForwardNtts.fetch_add(Count, std::memory_order_relaxed);
+  int MaxCount = 0;
+  for (const HoistAmount &H : Hoist)
+    MaxCount = std::max(MaxCount, keySwitchPrimes(C.LogQ, *H.Key));
+  LimbBuffer DRns(size_t(MaxCount) * Degree);
+  Ring.decomposeNttFlat(C.C1.data(), MaxCount, DRns.data());
+  KsStats->ForwardNtts.fetch_add(MaxCount, std::memory_order_relaxed);
 
-  LimbBuffer AccB(size_t(Count) * Degree), AccA(size_t(Count) * Degree);
+  LimbBuffer AccB(size_t(MaxCount) * Degree),
+      AccA(size_t(MaxCount) * Degree);
   for (const HoistAmount &H : Hoist) {
     const EvalKey &Key = *H.Key;
-    assert(Count <= Key.PrimeCount && "evaluation key has too few primes");
+    // requireKeyLevel above guarantees Count <= Key.PrimeCount.
+    const int Count = keySwitchPrimes(C.LogQ, Key);
     const std::vector<uint32_t> &Perm = *H.Perm;
     // Permute the shared decomposition in the NTT domain, fused with the
     // per-key pointwise product.

@@ -20,6 +20,16 @@
 /// evaluation keys are cached in their RNS/NTT decomposition so a key
 /// switch costs one decomposition of the input plus pointwise work.
 ///
+/// Level-trimmed Galois keys. A key switch at ciphertext modulus 2^l
+/// reads its key only modulo 2^(l + logP): the product is divided by
+/// P = 2^logP and reduced mod 2^l. A Galois key generated for LogQ k
+/// therefore stores each half as its centered residue mod 2^(k + logP),
+/// decomposed over the primes the product at level k needs, and serves
+/// every key switch at LogQ <= k with the same bytes as the full key
+/// (DESIGN.md section 5m). Keygen still draws a at full width, so the
+/// RNG stream is unchanged. The relinearization key and the stock
+/// power-of-two keys are top-level keys.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHET_CKKS_BIGCKKS_H
@@ -200,7 +210,15 @@ public:
   // Key management and introspection.
   //===--------------------------------------------------------------===//
 
+  /// Generates top-level Galois keys for exactly these rotation steps.
   void generateRotationKeys(const std::vector<int> &Steps);
+
+  /// Generates the Galois key for \p Steps trimmed to ciphertext modulus
+  /// 2^\p LogQ: it serves key switches at Ct::LogQ <= LogQ. An existing
+  /// key for the same Galois element is kept if it already reaches
+  /// \p LogQ and regenerated at \p LogQ otherwise.
+  void generateRotationKey(int Steps, int LogQ);
+
   void clearRotationKeys();
   bool hasRotationKey(int Steps) const;
   size_t rotationKeyCount() const { return GaloisKeys.size(); }
@@ -235,11 +253,14 @@ public:
   uint64_t keyBytes() const;
 
 private:
-  /// An evaluation key modulo P*Q, cached as its RNS/NTT decomposition
-  /// over enough primes for the worst-case key-switch product.
+  /// An evaluation key serving ciphertexts at modulus 2^l, l <= LogQ: both
+  /// halves centered mod 2^(LogQ + logP) and cached as their RNS/NTT
+  /// decomposition over enough primes for the worst-case key-switch
+  /// product at LogQ.
   struct EvalKey {
     std::vector<std::vector<uint64_t>> B, A;
     int PrimeCount = 0;
+    int LogQ = 0;
   };
 
   std::vector<BigInt> sampleUniform(int Bits);
@@ -247,8 +268,17 @@ private:
   std::vector<BigInt> sampleError();
 
   /// Builds an evaluation key for small target polynomial \p Target
-  /// (coefficients of a few bits).
-  EvalKey makeEvalKey(const std::vector<BigInt> &Target);
+  /// (coefficients of a few bits) serving ciphertexts up to modulus
+  /// 2^\p LogQ.
+  EvalKey makeEvalKey(const std::vector<BigInt> &Target, int LogQ);
+
+  /// Basis primes of a key-switch product of a ciphertext at 2^\p CtLogQ
+  /// with \p Key.
+  int keySwitchPrimes(int CtLogQ, const EvalKey &Key) const;
+
+  /// Throws MissingRotationKey unless \p Key, the key serving a rotation
+  /// by \p Steps, reaches a ciphertext at modulus 2^\p CtLogQ.
+  void requireKeyLevel(const EvalKey &Key, int Steps, int CtLogQ) const;
 
   /// Key-switches the polynomial \p D (centered mod 2^LogQ of the
   /// ciphertext): returns (B, A) contributions already divided by P and

@@ -229,7 +229,7 @@ RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
     for (size_t K = 0; K < Degree; ++K)
       SquareTarget[J][K] = Q.mulMod(SecretNtt[J][K], SecretNtt[J][K]);
   });
-  RelinKey = makeKSwitchKey(SquareTarget);
+  RelinKey = makeKSwitchKey(SquareTarget, maxLevel());
 
   // Stock rotation keys for the power-of-two steps, left and right
   // (2 log N - 2 keys; Section 2.4): the default CHET's rotation-key
@@ -293,24 +293,39 @@ void RnsCkksBackend::drawUniform(Prng &Stream, size_t J, uint64_t *Out,
 }
 
 RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
-    const std::vector<std::vector<uint64_t>> &Target) {
-  assert(Target.size() == ChainLen && "target must cover the chain");
-  const size_t Digits = Params.digitsAt(maxLevel());
-  const size_t Moduli = ChainLen + Alpha;
+    const std::vector<std::vector<uint64_t>> &Target, int Level) {
+  assert(Level >= 0 && Level <= maxLevel() &&
+         Target.size() >= size_t(Level) + 1 && "target must cover the level");
+  const size_t AllDigits = Params.digitsAt(maxLevel());
+  const size_t AllModuli = ChainLen + Alpha;
+  const size_t Chain = size_t(Level) + 1;
+  const size_t Digits = Params.digitsAt(Level);
+  const size_t Moduli = Chain + Alpha;
+  // Key-local modulus K is chain prime K below Chain, then the special
+  // primes.
+  auto ModIndex = [&](size_t K) {
+    return K < Chain ? K : ChainLen + (K - Chain);
+  };
   KSwitchKey Key;
+  Key.Level = Level;
   Key.B.resize(Digits);
-  // Walk the stream in the order the samples are consumed (per digit g:
-  // E_g, then a_{g,0..Moduli-1}), only checkpointing and skipping each
-  // uniform block, so the key and the state left for later encryptions
-  // are identical at every thread count. Expanding a_{g,J} and the
-  // arithmetic then fan out over (digit, modulus) pairs.
+  // Walk the stream in the order the top-level key consumes it (per digit
+  // g: E_g, then a_{g,0..AllModuli-1}), only checkpointing and skipping
+  // each uniform block, so the kept blocks and the state left for later
+  // encryptions are identical at every level and thread count. Expanding
+  // a_{g,J} and the arithmetic then fan out over the kept (digit,
+  // modulus) pairs.
   std::vector<std::vector<int64_t>> E(Digits);
-  for (size_t G = 0; G < Digits; ++G) {
-    Key.B[G].resize(Moduli * Degree);
-    E[G] = sampleErrorCoeffs();
-    for (size_t J = 0; J < Moduli; ++J) {
+  for (size_t G = 0; G < AllDigits; ++G) {
+    std::vector<int64_t> EG = sampleErrorCoeffs();
+    if (G < Digits) {
+      Key.B[G].resize(Moduli * Degree);
+      E[G] = std::move(EG);
+    }
+    for (size_t J = 0; J < AllModuli; ++J) {
       Prng Walk = Rng;
-      Key.Seeds.push_back(Walk);
+      if (G < Digits && (J < Chain || J >= ChainLen))
+        Key.Seeds.push_back(Walk);
       const uint64_t Threshold = UniformThreshold[J];
       for (size_t K = 0; K < Degree;)
         K += Walk.next() >= Threshold;
@@ -319,13 +334,13 @@ RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
   }
   parallelFor(0, Digits * Moduli, 1, [&](size_t Flat) {
     size_t G = Flat / Moduli;
-    size_t J = Flat % Moduli;
+    size_t J = ModIndex(Flat % Moduli);
     const Modulus &Q = modAt(J);
     LimbBuffer ENtt(Degree), AGJ(Degree);
     smallToNttInto(E[G].data(), J, ENtt.data());
     Prng Stream = Key.Seeds[Flat];
     drawUniform(Stream, J, AGJ.data(), Degree);
-    uint64_t *BOut = Key.B[G].data() + J * Degree;
+    uint64_t *BOut = Key.B[G].data() + (Flat % Moduli) * Degree;
     // The gadget term P * Qt_g * target lives only on the primes of group
     // g: Qt_g vanishes on the other chain primes, P on the special ones.
     bool InGroup = J < ChainLen && J / Alpha == G;
@@ -341,33 +356,50 @@ RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
 }
 
 void RnsCkksBackend::generateRotationKeys(const std::vector<int> &Steps) {
-  int Slots = static_cast<int>(slotCount());
-  for (int Step : Steps) {
-    int Norm = ((Step % Slots) + Slots) % Slots;
-    if (Norm == 0)
-      continue;
-    RotationSteps.insert(Norm);
-    uint64_t Elt = Encoder.galoisElement(Step);
-    if (GaloisKeys.count(Elt))
-      continue;
-    // Target sigma_elt(s) over the chain.
-    size_t TwoN = 2 * Degree;
-    std::vector<int64_t> Rotated(Degree);
-    for (size_t K = 0; K < Degree; ++K) {
-      size_t Index = (K * Elt) & (TwoN - 1);
-      int64_t V = SecretTernary[K];
-      if (Index >= Degree) {
-        Index -= Degree;
-        V = -V;
-      }
-      Rotated[Index] = V;
+  for (int Step : Steps)
+    generateRotationKey(Step, maxLevel());
+}
+
+void RnsCkksBackend::generateRotationKey(int Steps, int Level) {
+  CHET_CHECK(Level >= 0 && Level <= maxLevel(), InvalidArgument,
+             "Galois key level ", Level, " is outside the chain's levels 0..",
+             maxLevel());
+  int Norm = normalizeRotation(Steps, slotCount());
+  if (Norm == 0)
+    return;
+  RotationSteps.insert(Norm);
+  uint64_t Elt = Encoder.galoisElement(Norm);
+  auto It = GaloisKeys.find(Elt);
+  if (It != GaloisKeys.end() && It->second.Key.Level >= Level)
+    return;
+  // Target sigma_elt(s) over the primes the key covers.
+  size_t TwoN = 2 * Degree;
+  std::vector<int64_t> Rotated(Degree);
+  for (size_t K = 0; K < Degree; ++K) {
+    size_t Index = (K * Elt) & (TwoN - 1);
+    int64_t V = SecretTernary[K];
+    if (Index >= Degree) {
+      Index -= Degree;
+      V = -V;
     }
-    std::vector<std::vector<uint64_t>> Target(ChainLen);
-    parallelFor(0, ChainLen, 1,
-                [&](size_t J) { Target[J] = smallToNtt(Rotated, J); });
-    GaloisKeys.emplace(Elt, GaloisKey{makeKSwitchKey(Target),
-                                      galoisNttPermutation(LogN, Elt)});
+    Rotated[Index] = V;
   }
+  std::vector<std::vector<uint64_t>> Target(size_t(Level) + 1);
+  parallelFor(0, Target.size(), 1,
+              [&](size_t J) { Target[J] = smallToNtt(Rotated, J); });
+  GaloisKey G{makeKSwitchKey(Target, Level), galoisNttPermutation(LogN, Elt)};
+  if (It != GaloisKeys.end())
+    It->second = std::move(G);
+  else
+    GaloisKeys.emplace(Elt, std::move(G));
+}
+
+void RnsCkksBackend::requireKeyLevel(const GaloisKey &G, int Steps,
+                                     int Level) const {
+  CHET_CHECK(Level <= G.Key.Level, MissingRotationKey,
+             "the Galois key for rotation by ", Steps,
+             " was generated for level ", G.Key.Level,
+             " but the ciphertext is at level ", Level);
 }
 
 void RnsCkksBackend::clearRotationKeys() {
@@ -787,7 +819,10 @@ void RnsCkksBackend::keySwitchFromBase(const LimbBuffer &Base, int Level,
   const size_t Components = size_t(Level) + 1;
   const size_t Digits = Params.digitsAt(Level);
   const size_t Outputs = Components + Alpha;
+  const size_t KeyChain = size_t(Key.Level) + 1;
   const bool Lazy = lazyInnerProduct(Digits);
+  CHET_CHECK(Level <= Key.Level, MissingRotationKey, "key switch at level ",
+             Level, " reads a key generated for level ", Key.Level);
   // OutA becomes a rotation's C1 via move, so it stays a std::vector; the
   // B side and the special-prime tails draw from the pool.
   LimbBuffer TailB(Alpha * Degree), TailA(Alpha * Degree);
@@ -804,6 +839,9 @@ void RnsCkksBackend::keySwitchFromBase(const LimbBuffer &Base, int Level,
   parallelFor(0, Outputs, 1, [&](size_t J) {
     bool Chain = J < Components;
     size_t ModIndex = Chain ? J : ChainLen + (J - Components);
+    // The key stores its own moduli: q_0..q_{Key.Level}, then the special
+    // primes.
+    size_t KeyIndex = Chain ? J : KeyChain + (J - Components);
     const Modulus &Q = modAt(ModIndex);
     uint64_t *DstB = Chain ? OutB.data() + J * Degree
                            : TailB.data() + (J - Components) * Degree;
@@ -813,8 +851,8 @@ void RnsCkksBackend::keySwitchFromBase(const LimbBuffer &Base, int Level,
     std::vector<const uint64_t *> KeyB(Digits);
     std::vector<Prng> Streams(Digits);
     for (size_t G = 0; G < Digits; ++G) {
-      KeyB[G] = Key.B[G].data() + ModIndex * Degree;
-      Streams[G] = Key.Seeds[G * (ChainLen + Alpha) + ModIndex];
+      KeyB[G] = Key.B[G].data() + KeyIndex * Degree;
+      Streams[G] = Key.Seeds[G * (KeyChain + Alpha) + KeyIndex];
     }
     LimbBuffer KeyA(Digits * Chunk);
     for (size_t Lo = 0; Lo < Degree; Lo += Chunk) {
@@ -1013,6 +1051,7 @@ void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
 
   auto It = GaloisKeys.find(Encoder.galoisElement(S));
   if (It != GaloisKeys.end()) {
+    requireKeyLevel(It->second, S, C.Level);
     C = rotateFromBase(C, rotationBase(C), It->second);
     return;
   }
@@ -1027,6 +1066,7 @@ void RnsCkksBackend::rotLeftAssign(Ct &C, int Steps) {
           " (power-of-two decomposition needs step ", Step,
           "); available rotation steps: ",
           describeRotationSteps(RotationSteps)));
+    requireKeyLevel(KeyIt->second, Step, C.Level);
     C = rotateFromBase(C, rotationBase(C), KeyIt->second);
   });
 }
@@ -1050,6 +1090,7 @@ RnsCkksBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
     }
     auto It = GaloisKeys.find(Encoder.galoisElement(static_cast<int>(S)));
     if (Hoisting && It != GaloisKeys.end()) {
+      requireKeyLevel(It->second, static_cast<int>(S), C.Level);
       Hoist.push_back({I, &It->second});
     } else {
       Out[I] = C;

@@ -47,6 +47,15 @@
 /// draw are unchanged, and key memory halves. The public key stays
 /// materialized.
 ///
+/// Level-trimmed Galois keys. A key switch at level l reads only digits
+/// 0..beta_l-1 and, per digit, the moduli q_0..q_l plus the special
+/// primes. A Galois key generated for level k stores exactly those
+/// blocks of the full-level key and serves every key switch at levels
+/// <= k; keygen still walks the whole stream (checkpoint-and-skip), so
+/// every kept block, every seed and every later draw is unchanged
+/// (DESIGN.md section 5m). The relinearization key and the stock
+/// power-of-two keys are top-level keys.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHET_CKKS_RNSCKKS_H
@@ -215,9 +224,15 @@ public:
   // Key management and introspection.
   //===--------------------------------------------------------------===//
 
-  /// Generates Galois keys for exactly these rotation steps (the output of
-  /// CHET's rotation-key-selection pass, Section 5.4).
+  /// Generates top-level Galois keys for exactly these rotation steps.
   void generateRotationKeys(const std::vector<int> &Steps);
+
+  /// Generates the Galois key for \p Steps trimmed to \p Level: it serves
+  /// key switches at levels <= Level (the output of CHET's rotation-key
+  /// selection, Section 5.4, records that level per step). An existing
+  /// key for the same Galois element is kept if it already reaches
+  /// \p Level and regenerated at \p Level otherwise.
+  void generateRotationKey(int Steps, int Level);
 
   /// Drops every rotation key, including the default power-of-two set.
   /// Used by benchmarks to isolate key-set configurations.
@@ -263,14 +278,17 @@ private:
   /// Test-side access to the seeded key material.
   friend struct RnsCkksKeyProbe;
 
-  /// A seeded key-switching key. B[g] holds, for digit g, one N-word NTT
-  /// polynomial per modulus (ChainLen chain primes then the alpha special
-  /// primes). The uniform halves a_{g,J} are not stored: Seeds[g * Moduli
-  /// + J] is the keygen stream's state just before a_{g,J} was drawn, and
-  /// drawUniform regenerates the block from it wherever it is read.
+  /// A seeded key-switching key for key switches at levels <= Level.
+  /// B[g], for each of the digitsAt(Level) digits g, holds one N-word NTT
+  /// polynomial per key modulus: chain primes q_0..q_Level, then the
+  /// alpha special primes. The uniform halves a_{g,J} are not stored:
+  /// Seeds[g * (Level + 1 + alpha) + J] is the keygen stream's state just
+  /// before a_{g,J} was drawn, and drawUniform regenerates the block from
+  /// it wherever it is read.
   struct KSwitchKey {
     std::vector<std::vector<uint64_t>> B;
     std::vector<Prng> Seeds;
+    int Level = 0;
   };
   /// A Galois key with the NTT-domain index permutation realizing
   /// sigma_Elt, both built at keygen (single-threaded) so rotations read
@@ -318,8 +336,14 @@ private:
                    size_t Count) const;
 
   /// Builds a key-switching key for \p Target (NTT form, one polynomial
-  /// per chain prime).
-  KSwitchKey makeKSwitchKey(const std::vector<std::vector<uint64_t>> &Target);
+  /// per chain prime q_0..q_Level) serving levels <= \p Level. Consumes
+  /// the keygen stream exactly as the top-level key would.
+  KSwitchKey makeKSwitchKey(const std::vector<std::vector<uint64_t>> &Target,
+                            int Level);
+
+  /// Throws MissingRotationKey unless \p G, the key serving a rotation by
+  /// \p Steps, reaches a key switch at \p Level.
+  void requireKeyLevel(const GaloisKey &G, int Steps, int Level) const;
 
   /// The key-independent half of a key switch at \p Level (ModUp): the
   /// polynomial d, given per chain prime in coefficient form (\p Coeff)

@@ -12,7 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <map>
 
 using namespace chet;
 
@@ -67,8 +67,8 @@ AuditConfig configFor(const TensorCircuit &Circ,
     C.Noise = NoiseModel::create(Compiled.Scheme, Compiled.LogN, {}, {},
                                  Compiled.LogQ);
   }
-  C.AvailableRotationSteps.insert(Compiled.RotationKeys.begin(),
-                                  Compiled.RotationKeys.end());
+  for (const RotationKeySpec &K : Compiled.RotationKeys)
+    C.AvailableRotationSteps.insert(K.Step);
   const ScaleConfig &S = Compiled.Scales;
   C.MinScaleFloor = std::min(std::min(S.Image, S.Weight),
                              std::min(S.Scalar, S.Mask));
@@ -79,46 +79,63 @@ AuditConfig configFor(const TensorCircuit &Circ,
 }
 
 /// Bytes of the evaluation keys makeRnsBackend/makeBigBackend generate
-/// for \p Compiled: the public key, the relinearization key and one
-/// Galois key per distinct rotation (the selected steps plus the stock
-/// power-of-two set when enabled).
-uint64_t predictedKeyBytes(const CompiledCircuit &Compiled) {
+/// for \p Compiled with its selected keys at the levels \p Keys gives:
+/// the public key, the top-level relinearization key, one Galois key per
+/// selected step, and the stock power-of-two set (top level) when
+/// enabled.
+uint64_t predictedKeyBytes(const CompiledCircuit &Compiled,
+                           const std::vector<RotationKeySpec> &Keys) {
   const uint64_t N = uint64_t(1) << Compiled.LogN;
   const int Slots = static_cast<int>(N / 2);
   bool Stock = Compiled.Rns ? Compiled.Rns->StockPow2Keys
                             : Compiled.Big && Compiled.Big->StockPow2Keys;
-  std::set<int> Steps;
-  for (int S : Compiled.RotationKeys)
-    Steps.insert(normalizeRotation(S, Slots));
+  const int Top = Compiled.Rns   ? Compiled.Rns->levels()
+                  : Compiled.Big ? Compiled.Big->LogQ
+                                 : 0;
+  // Normalized step -> key level; a step generated twice keeps the higher.
+  std::map<int, int> Levels;
+  auto Add = [&](int Step, int Level) {
+    int S = normalizeRotation(Step, Slots);
+    if (S != 0)
+      Levels[S] = std::max(Levels[S], Level);
+  };
+  for (const RotationKeySpec &K : Keys)
+    Add(K.Step, K.Level);
   if (Stock)
     for (int S = 1; S < Slots; S <<= 1) {
-      Steps.insert(S);
-      Steps.insert(Slots - S);
+      Add(S, Top);
+      Add(Slots - S, Top);
     }
-  Steps.erase(0);
-  const uint64_t EvalKeys = 1 + Steps.size();
   if (Compiled.Rns) {
     // Per key and (digit, modulus) block: the N-word b half and the seed
-    // its a half regenerates from; per Galois key its NTT permutation.
+    // its a half regenerates from; per Galois key its NTT permutation. A
+    // key at level l keeps digitsAt(l) digits of l + 1 + alpha moduli.
     // Without special primes no backend (and so no key) can exist.
     const RnsCkksParams &P = *Compiled.Rns;
     if (P.SpecialPrimes.empty())
       return 0;
-    uint64_t Chain = P.ChainPrimes.size();
-    uint64_t Blocks =
-        P.digitsAt(P.levels()) * (Chain + P.SpecialPrimes.size());
-    return 2 * Chain * N * sizeof(uint64_t) +
-           EvalKeys * Blocks * (N * sizeof(uint64_t) + sizeof(Prng)) +
-           Steps.size() * N * sizeof(uint32_t);
+    auto Blocks = [&](int Level) {
+      return P.digitsAt(Level) * (Level + 1 + P.SpecialPrimes.size());
+    };
+    uint64_t AllBlocks = Blocks(Top); // relinearization
+    for (const auto &[Step, Level] : Levels)
+      AllBlocks += Blocks(Level);
+    return 2 * P.ChainPrimes.size() * N * sizeof(uint64_t) +
+           AllBlocks * (N * sizeof(uint64_t) + sizeof(Prng)) +
+           Levels.size() * N * sizeof(uint32_t);
   }
   if (Compiled.Big) {
-    // Per key: two halves decomposed over the worst-case product's
-    // primes; the public key is two BigInt polynomials.
+    // Per key at LogQ k: two halves decomposed over the primes of the
+    // worst-case product at k; the public key is two BigInt polynomials.
     const BigCkksParams &P = *Compiled.Big;
-    uint64_t Primes = BigPolyRing::primesForBits(P.LogQ + P.logQP() +
-                                                 Compiled.LogN + 2);
-    return 2 * N * sizeof(BigInt) +
-           EvalKeys * 2 * Primes * N * sizeof(uint64_t);
+    auto Primes = [&](int LogQ) {
+      return uint64_t(BigPolyRing::primesForBits(
+          2 * LogQ + P.effectiveLogSpecial() + Compiled.LogN + 2));
+    };
+    uint64_t AllPrimes = Primes(Top); // relinearization
+    for (const auto &[Step, Level] : Levels)
+      AllPrimes += Primes(Level);
+    return 2 * N * sizeof(BigInt) + 2 * AllPrimes * N * sizeof(uint64_t);
   }
   return 0;
 }
@@ -290,7 +307,22 @@ AuditReport chet::auditCircuit(const TensorCircuit &Circ,
     R.Failure = std::current_exception();
   }
 
-  F.KeyBytes = predictedKeyBytes(Compiled);
+  R.RotationKeys = Compiled.RotationKeys;
+  for (RotationKeySpec &K : R.RotationKeys) {
+    auto It = Backend.keyLevels().find(K.Step);
+    if (It == Backend.keyLevels().end())
+      continue;
+    if (K.Level < It->second)
+      R.Verification.Diagnostics.push_back(
+          {Severity::Error, ErrorCode::MissingRotationKey, "", -1,
+           "rotation keys",
+           formatError("the Galois key for rotation by ", K.Step,
+                       " is generated for level ", K.Level,
+                       " but a rotation switches it at level ",
+                       It->second)});
+    K.Level = std::min(K.Level, It->second);
+  }
+  F.KeyBytes = predictedKeyBytes(Compiled, R.RotationKeys);
   finishVerification(Circ, Compiled, Backend, R.Verification);
   for (const AuditNodeStats &S : Backend.nodeStats())
     R.Noise.PerNode.push_back(

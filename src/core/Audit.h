@@ -44,6 +44,11 @@ struct AuditReport {
   VerificationReport Verification;
   NoiseReport Noise;
   FootprintReport Footprint;
+  /// The artifact's selected Galois keys, each lowered to the highest
+  /// level a rotation switches it at (keys no rotation reached keep the
+  /// artifact's level). compileCircuit stores this list, and
+  /// Footprint.KeyBytes sizes the keys at these levels.
+  std::vector<RotationKeySpec> RotationKeys;
   /// Set when a kernel rejected the artifact outright (layout or shape
   /// misuse): Verification carries it as an "evaluation" error, the other
   /// two reports are partial, and their views rethrow it.

@@ -119,9 +119,6 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
   Result.LogN = Best->Info.LogN;
   Result.LogQ = Best->Info.LogQ;
   Result.EstimatedCost = Best->Info.EstimatedCost;
-  if (Options.SelectRotationKeys)
-    Result.RotationKeys.assign(Best->Info.RotationSteps.begin(),
-                               Best->Info.RotationSteps.end());
 
   if (Options.Scheme == SchemeKind::RnsCkks) {
     RnsCkksParams P;
@@ -152,6 +149,13 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
     P.StockPow2Keys = !Options.SelectRotationKeys;
     Result.Big = std::move(P);
   }
+  // Selected keys start at the top level; the audit below lowers each to
+  // the highest level the circuit switches it at.
+  if (Options.SelectRotationKeys) {
+    int Top = Result.Rns ? Result.Rns->levels() : Result.Big->LogQ;
+    for (int Step : Best->Info.RotationSteps)
+      Result.RotationKeys.push_back({Step, Top});
+  }
 
   // One post-compile audit pass: verification, precision bound and
   // footprint bound from a single re-interpretation of the artifact.
@@ -172,6 +176,7 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
         " exceeds the requested precision ", Options.MaxOutputError, "; ",
         Audit.Noise.str()));
   Result.Footprint = Audit.Footprint.summary();
+  Result.RotationKeys = std::move(Audit.RotationKeys);
   return Result;
 }
 
@@ -182,8 +187,8 @@ RnsCkksBackend chet::makeRnsBackend(const CompiledCircuit &Compiled,
   RnsCkksParams P = *Compiled.Rns;
   P.Seed = Seed;
   RnsCkksBackend Backend(P);
-  if (!Compiled.RotationKeys.empty())
-    Backend.generateRotationKeys(Compiled.RotationKeys);
+  for (const RotationKeySpec &K : Compiled.RotationKeys)
+    Backend.generateRotationKey(K.Step, K.Level);
   return Backend;
 }
 
@@ -194,8 +199,8 @@ BigCkksBackend chet::makeBigBackend(const CompiledCircuit &Compiled,
   BigCkksParams P = *Compiled.Big;
   P.Seed = Seed;
   BigCkksBackend Backend(P);
-  if (!Compiled.RotationKeys.empty())
-    Backend.generateRotationKeys(Compiled.RotationKeys);
+  for (const RotationKeySpec &K : Compiled.RotationKeys)
+    Backend.generateRotationKey(K.Step, K.Level);
   return Backend;
 }
 

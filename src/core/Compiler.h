@@ -149,6 +149,15 @@ struct FootprintSummary {
   uint64_t KeyBytes = 0;
 };
 
+/// One selected Galois key: the rotation step it serves and the highest
+/// level at which the circuit switches it, in the target backend's own
+/// unit (RNS-CKKS Ct::Level, big-CKKS Ct::LogQ). The backend generates the
+/// key for that level only (DESIGN.md section 5m).
+struct RotationKeySpec {
+  int Step = 0;
+  int Level = 0;
+};
+
 /// The compiler's output artifact.
 struct CompiledCircuit {
   SchemeKind Scheme = SchemeKind::RnsCkks;
@@ -160,8 +169,10 @@ struct CompiledCircuit {
   double EstimatedCost = 0;
   std::optional<RnsCkksParams> Rns;
   std::optional<BigCkksParams> Big;
-  /// Rotation steps to generate keys for (empty: power-of-two default).
-  std::vector<int> RotationKeys;
+  /// Galois keys to generate, ascending by normalized step, each with the
+  /// level the post-compile audit recorded for it (empty: power-of-two
+  /// default).
+  std::vector<RotationKeySpec> RotationKeys;
   /// The full four-policy analysis for reporting.
   std::vector<PolicyAnalysis> PerPolicy;
   /// Non-fatal verifier findings of the post-compile audit (empty when
@@ -181,8 +192,8 @@ CompiledCircuit compileCircuit(const TensorCircuit &Circ,
                                const CompilerOptions &Options);
 
 /// Instantiates the scheme backend a CompiledCircuit prescribes and
-/// generates its selected rotation keys. Exactly one of these matches
-/// Compiled.Scheme.
+/// generates its selected rotation keys, each at its recorded level.
+/// Exactly one of these matches Compiled.Scheme.
 RnsCkksBackend makeRnsBackend(const CompiledCircuit &Compiled,
                               uint64_t Seed = 0x5ea1);
 BigCkksBackend makeBigBackend(const CompiledCircuit &Compiled,

@@ -12,7 +12,9 @@
 ///
 ///   verifier   multiply depth, provenance (the node whose kernel last
 ///              produced the value), the rotation event the value still
-///              is, and a per-node depth window. Violations -- scale
+///              is, a per-node depth window, and per Galois key the
+///              highest level a rotation switches it at (the level key
+///              generation trims it to). Violations -- scale
 ///              mismatches, chain exhaustion, unservable rotations -- are
 ///              *recorded* instead of thrown, and interpretation continues
 ///              on a repaired state, so one pass reports every violation.
@@ -97,7 +99,8 @@ struct AuditConfig {
   /// RNS: total primes in the compiled chain (a fresh ciphertext carries
   /// one limb per prime).
   int ChainLen = 1;
-  /// CKKS: total log2 rescale budget; 0 disables the check.
+  /// CKKS: total log2 rescale budget, a fresh ciphertext's Ct::LogQ; 0
+  /// disables the check.
   double LogQBudget = 0;
   /// Normalized left-rotation steps with dedicated Galois keys.
   std::set<int> AvailableRotationSteps;
@@ -242,7 +245,7 @@ public:
     int S = normalizeRotation(Steps, Slots);
     if (S == 0)
       return; // complete no-op, exactly as the real backends treat it
-    int Hops = keySwitchesFor(S, "rotLeftAssign", "rotation by ");
+    int Hops = keySwitchesFor(C, S, "rotLeftAssign", "rotation by ");
     noteOp(scratchWords(kKeySwitch, activeLimbs(C.ConsumedPrimes)),
            2 * ctBytes(C));
     rotated(C, C, S, Hops);
@@ -263,7 +266,7 @@ public:
       int S = normalizeRotation(Steps[I], Slots);
       if (S != 0)
         rotated(C, Out[I], S,
-                keySwitchesFor(S, "rotLeftMany", "hoisted rotation by "));
+                keySwitchesFor(C, S, "rotLeftMany", "hoisted rotation by "));
     }
     return Out;
   }
@@ -417,6 +420,11 @@ public:
   const std::vector<AuditEvent> &events() const { return Events; }
   const std::vector<AuditNodeStats> &nodeStats() const { return Stats; }
 
+  /// Per normalized step whose Galois key some rotation switched: the
+  /// highest level it was switched at, in the real backend's unit (RNS
+  /// Ct::Level, big-CKKS Ct::LogQ).
+  const std::map<int, int> &keyLevels() const { return KeyLevels; }
+
 private:
   /// One executed rotation, for the redundant-rotation audit: Uses counts
   /// how many instructions read the rotated value before anything
@@ -458,15 +466,35 @@ private:
     C.OriginNode = CurrentNode;
   }
 
-  /// Key switches the real backends spend on a rotation by normalized
-  /// \p S: one with a dedicated key, else one per power-of-two hop.
-  /// Records a MissingRotationKey error when some hop has no key either.
-  int keySwitchesFor(int S, const char *Op, const char *What) {
-    if (KeyFor[static_cast<size_t>(S)])
+  /// \p C's level in the real backend's unit.
+  int backendLevel(const Ct &C) const {
+    if (Core.rns())
+      return std::max(0, Config.ChainLen - 1 - C.ConsumedPrimes);
+    return static_cast<int>(Config.LogQBudget) -
+           static_cast<int>(std::lround(C.LogConsumed));
+  }
+
+  /// Notes that the Galois key of step \p S switches \p C.
+  void keySwitchedAt(int S, const Ct &C) {
+    auto [It, New] = KeyLevels.try_emplace(S, backendLevel(C));
+    It->second = std::max(It->second, backendLevel(C));
+  }
+
+  /// Key switches the real backends spend on a rotation of \p C by
+  /// normalized \p S: one with a dedicated key, else one per power-of-two
+  /// hop. Records a MissingRotationKey error when some hop has no key
+  /// either.
+  int keySwitchesFor(const Ct &C, int S, const char *Op, const char *What) {
+    if (KeyFor[static_cast<size_t>(S)]) {
+      keySwitchedAt(S, C);
       return 1;
+    }
     bool Servable = true;
     int Hops = forEachRotationHop(S, Slots, [&](int Hop) {
-      Servable = Servable && KeyFor[static_cast<size_t>(Hop)];
+      bool Keyed = KeyFor[static_cast<size_t>(Hop)];
+      if (Keyed)
+        keySwitchedAt(Hop, C);
+      Servable = Servable && Keyed;
     });
     if (!Servable)
       record(Severity::Error, ErrorCode::MissingRotationKey, Op,
@@ -666,6 +694,7 @@ private:
   std::vector<AuditEvent> Events;
   std::map<std::tuple<int, int, const char *>, size_t> EventIndex;
   std::vector<RotationEvent> RotEvents;
+  std::map<int, int> KeyLevels;
 };
 
 /// The audit's abstract domain ignores slot contents; skipping the

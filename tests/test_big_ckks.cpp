@@ -6,6 +6,7 @@
 
 #include "ckks/BigCkks.h"
 
+#include "ckks/Serialization.h"
 #include "hisa/Hisa.h"
 #include "support/Error.h"
 #include "support/Prng.h"
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 using namespace chet;
 
@@ -210,6 +212,77 @@ TEST_F(BigCkksTest, DeterministicUnderSeed) {
   auto C2 = B2.encrypt(B2.encode(V, 1 << 20));
   for (size_t K = 0; K < 4; ++K)
     EXPECT_EQ(C1.C0[K].compare(C2.C0[K]), 0);
+}
+
+/// Trimmed keys rotate byte-identically to full keys at or below their
+/// LogQ, on every rotation path (a hoisted batch mixing key widths
+/// included), and throw a typed error above it.
+TEST(BigCkksTrimmedKeys, MatchTheFullKeyAtOrBelowTheirLevelAndThrowAbove) {
+  BigCkksParams P;
+  P.LogN = 11;
+  P.LogQ = 150;
+  P.Security = SecurityLevel::None;
+  P.StockPow2Keys = false;
+  BigCkksBackend Full(P), Trim(P);
+  Full.generateRotationKeys({1, 2, 5});
+  Trim.generateRotationKey(1, 100);
+  Trim.generateRotationKey(2, 100);
+  Trim.generateRotationKey(5, 130);
+  Trim.generateRotationKey(5, 120); // a lower request keeps the key
+  EXPECT_LT(Trim.keyBytes(), Full.keyBytes());
+
+  std::vector<double> V(Full.slotCount());
+  Prng Rng(29);
+  for (double &X : V)
+    X = Rng.nextDouble(-1, 1);
+  auto A = Full.encrypt(Full.encode(V, kScale));
+  auto AT = Trim.encrypt(Trim.encode(V, kScale));
+  ASSERT_TRUE(serialize(A) == serialize(AT)); // keygen left the same stream
+
+  auto ExpectThrow = [&](auto &&Rotate, const std::string &Step, int Key,
+                         int LogQ) {
+    try {
+      Rotate();
+      ADD_FAILURE() << "no error for rotation by " << Step;
+    } catch (const MissingRotationKeyError &E) {
+      std::string M = E.what();
+      EXPECT_NE(M.find("rotation by " + Step), std::string::npos) << M;
+      EXPECT_NE(M.find("LogQ " + std::to_string(Key)), std::string::npos)
+          << M;
+      EXPECT_NE(M.find("LogQ " + std::to_string(LogQ)), std::string::npos)
+          << M;
+    }
+  };
+  auto Rescale = [&](int Bits) {
+    Full.rescaleAssign(A, uint64_t(1) << Bits);
+    Trim.rescaleAssign(AT, uint64_t(1) << Bits);
+  };
+  auto ExpectSame = [&](int Steps) {
+    auto R = Full.copy(A), RT = Trim.copy(AT);
+    Full.rotLeftAssign(R, Steps);
+    Trim.rotLeftAssign(RT, Steps);
+    EXPECT_TRUE(serialize(R) == serialize(RT)) << "rotation by " << Steps;
+  };
+
+  // Fresh (LogQ 150): every key is too short. 3 runs as the hops 1 + 2.
+  auto R = Trim.copy(AT);
+  ExpectThrow([&] { Trim.rotLeftAssign(R, 5); }, "5", 130, 150);
+  ExpectThrow([&] { Trim.rotLeftAssign(R, 3); }, "1", 100, 150);
+  ExpectThrow([&] { Trim.rotLeftMany(AT, {0, 5}); }, "5", 130, 150);
+
+  Rescale(20); // LogQ 130
+  ExpectSame(5);
+  ExpectThrow([&] { Trim.rotLeftMany(AT, {5, 1}); }, "1", 100, 130);
+
+  Rescale(30); // LogQ 100
+  ExpectSame(3);
+  ExpectSame(5);
+  std::vector<int> Steps = {1, 0, 5, 3, 2};
+  auto Many = Full.rotLeftMany(A, Steps);
+  auto ManyT = Trim.rotLeftMany(AT, Steps);
+  for (size_t I = 0; I < Steps.size(); ++I)
+    EXPECT_TRUE(serialize(Many[I]) == serialize(ManyT[I]))
+        << "hoisted amount " << Steps[I];
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 using namespace chet;
@@ -94,6 +95,13 @@ TEST(Compiler, FootprintPredictsTheBackendsKeyBytes) {
       CompilerOptions O = baseOptions(Scheme);
       O.SelectRotationKeys = Select;
       CompiledCircuit C = compileCircuit(tinyCircuit(), O);
+      // Keys after the activation serve lower levels only (trimmed).
+      const int Top = C.Rns ? C.Rns->levels() : C.Big->LogQ;
+      EXPECT_EQ(std::any_of(C.RotationKeys.begin(), C.RotationKeys.end(),
+                            [&](const RotationKeySpec &K) {
+                              return K.Level < Top;
+                            }),
+                Select);
       uint64_t Held = Scheme == SchemeKind::RnsCkks
                           ? makeRnsBackend(C).keyBytes()
                           : makeBigBackend(C).keyBytes();

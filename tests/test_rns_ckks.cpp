@@ -36,10 +36,36 @@ struct RnsCkksKeyProbe {
                ? B.RelinKey
                : B.GaloisKeys.at(B.Encoder.galoisElement(Step)).Key;
   }
+  /// The level \p Step's key serves.
+  static int level(const RnsCkksBackend &B, int Step) {
+    return key(B, Step).Level;
+  }
+  /// Digits \p Step's key stores.
+  static size_t digits(const RnsCkksBackend &B, int Step) {
+    return key(B, Step).B.size();
+  }
+  /// Key-local index of modulus \p J (chain primes, then special primes)
+  /// in \p Step's key.
+  static size_t local(const RnsCkksBackend &B, int Step, size_t J) {
+    size_t Chain = size_t(level(B, Step)) + 1;
+    return J < B.ChainLen ? J : Chain + (J - B.ChainLen);
+  }
+  /// The checkpoint of a_{g,J} in \p Step's key.
+  static Prng seed(const RnsCkksBackend &B, int Step, size_t G, size_t J) {
+    size_t Moduli = size_t(level(B, Step)) + 1 + B.Alpha;
+    return key(B, Step).Seeds[G * Moduli + local(B, Step, J)];
+  }
+  /// b_{g,J} of \p Step's key.
+  static std::vector<uint64_t> storedB(const RnsCkksBackend &B, int Step,
+                                       size_t G, size_t J) {
+    const uint64_t *First =
+        key(B, Step).B[G].data() + local(B, Step, J) * B.Degree;
+    return std::vector<uint64_t>(First, First + B.Degree);
+  }
   /// a_{g,J} of \p Step's key, regenerated from its checkpoint.
   static std::vector<uint64_t> expandA(const RnsCkksBackend &B, int Step,
                                        size_t G, size_t J) {
-    Prng Stream = key(B, Step).Seeds[G * (B.ChainLen + B.Alpha) + J];
+    Prng Stream = seed(B, Step, G, J);
     std::vector<uint64_t> Out(B.Degree);
     B.drawUniform(Stream, J, Out.data(), Out.size());
     return Out;
@@ -558,6 +584,14 @@ TEST(RnsCkksHybrid, KeyBytesCountDigitsTimesModuli) {
                                 Keys * Beta * (L1 + Alpha) * (N * 8 + 32) +
                                 Galois * N * 4)
         << "alpha " << Alpha;
+    // A key trimmed to level 2 keeps ceil(3 / alpha) digits of 3 + alpha
+    // moduli.
+    const uint64_t Before = B.keyBytes();
+    B.generateRotationKey(7, 2);
+    EXPECT_EQ(B.keyBytes(), Before + (3 + Alpha - 1) / Alpha * (3 + Alpha) *
+                                         (N * 8 + 32) +
+                                N * 4)
+        << "alpha " << Alpha;
   }
 }
 
@@ -626,6 +660,108 @@ TEST(RnsCkksSeededKeys, CheckpointsReplayTheSequentialDrawOrder) {
   // OneSpecialPrimeReproducesTheSinglePrimeBytes).
   Prng Left = RnsCkksKeyProbe::stream(B);
   EXPECT_EQ(std::memcmp(&Left, &Replay, sizeof(Prng)), 0);
+
+  // Level-trimmed keys keep exactly the blocks a key switch at their
+  // level reads -- digits 0..beta_l-1 over q_0..q_l and the special
+  // primes -- each identical to the full key's, and leave the stream
+  // where the full keys left it.
+  const std::vector<std::pair<int, int>> Trimmed = {{1, 2}, {5, 4}};
+  RnsCkksBackend T(P);
+  for (auto [Step, Level] : Trimmed)
+    T.generateRotationKey(Step, Level);
+  for (auto [Step, Level] : Trimmed) {
+    EXPECT_EQ(RnsCkksKeyProbe::level(T, Step), Level);
+    ASSERT_EQ(RnsCkksKeyProbe::digits(T, Step), P.digitsAt(Level));
+    for (size_t G = 0; G < P.digitsAt(Level); ++G)
+      for (size_t J = 0; J < Moduli.size(); ++J) {
+        if (J > size_t(Level) && J < Chain)
+          continue;
+        Prng Got = RnsCkksKeyProbe::seed(T, Step, G, J);
+        Prng Want = RnsCkksKeyProbe::seed(B, Step, G, J);
+        EXPECT_EQ(std::memcmp(&Got, &Want, sizeof(Prng)), 0)
+            << "key " << Step << " digit " << G << " modulus " << J;
+        EXPECT_TRUE(RnsCkksKeyProbe::storedB(T, Step, G, J) ==
+                    RnsCkksKeyProbe::storedB(B, Step, G, J))
+            << "key " << Step << " digit " << G << " modulus " << J;
+      }
+  }
+  Prng TrimmedLeft = RnsCkksKeyProbe::stream(T);
+  EXPECT_EQ(std::memcmp(&TrimmedLeft, &Replay, sizeof(Prng)), 0);
+}
+
+/// Trimmed keys rotate byte-identically to full keys at or below their
+/// level, on every rotation path, and throw a typed error above it.
+TEST(RnsCkksTrimmedKeys, MatchTheFullKeyAtOrBelowTheirLevelAndThrowAbove) {
+  const RnsCkksParams P = hybridParams(3);
+  RnsCkksBackend Full(P), Trim(P);
+  Full.generateRotationKeys({1, 2, 5});
+  Trim.generateRotationKey(1, 2);
+  Trim.generateRotationKey(2, 2);
+  Trim.generateRotationKey(5, 4);
+  // A lower request keeps the key; a higher one regenerates it.
+  Trim.generateRotationKey(5, 3);
+  EXPECT_EQ(RnsCkksKeyProbe::level(Trim, 5), 4);
+  EXPECT_LT(Trim.keyBytes(), Full.keyBytes());
+
+  std::vector<double> V(Full.slotCount());
+  Prng Rng(23);
+  for (double &X : V)
+    X = Rng.nextDouble(-1, 1);
+  const double Scale = std::ldexp(1.0, 40);
+  auto A = Full.encrypt(Full.encode(V, Scale));
+  auto AT = Trim.encrypt(Trim.encode(V, Scale));
+  ASSERT_TRUE(serialize(A) == serialize(AT)); // keygen left the same stream
+
+  auto ExpectThrow = [&](auto &&Rotate, const std::string &Step, int Key,
+                         int Level) {
+    try {
+      Rotate();
+      ADD_FAILURE() << "no error for rotation by " << Step;
+    } catch (const MissingRotationKeyError &E) {
+      std::string M = E.what();
+      EXPECT_NE(M.find("rotation by " + Step), std::string::npos) << M;
+      EXPECT_NE(M.find("level " + std::to_string(Key)), std::string::npos)
+          << M;
+      EXPECT_NE(M.find("level " + std::to_string(Level)), std::string::npos)
+          << M;
+    }
+  };
+  auto Rescale = [](RnsCkksBackend &B, RnsCkksBackend::Ct &C, int Level) {
+    while (C.Level > Level)
+      B.rescaleAssign(C, B.params().ChainPrimes[C.Level]);
+  };
+  auto ExpectSame = [&](int Steps) {
+    auto R = Full.copy(A), RT = Trim.copy(AT);
+    Full.rotLeftAssign(R, Steps);
+    Trim.rotLeftAssign(RT, Steps);
+    EXPECT_TRUE(serialize(R) == serialize(RT)) << "rotation by " << Steps;
+  };
+
+  // Top level (6): every key is too short. 3 runs as the hops 1 + 2.
+  auto R = Trim.copy(AT);
+  ExpectThrow([&] { Trim.rotLeftAssign(R, 5); }, "5", 4, 6);
+  ExpectThrow([&] { Trim.rotLeftAssign(R, 3); }, "1", 2, 6);
+  ExpectThrow([&] { Trim.rotLeftMany(AT, {0, 5}); }, "5", 4, 6);
+
+  Rescale(Full, A, 4);
+  Rescale(Trim, AT, 4);
+  ExpectSame(5);
+  ExpectThrow([&] { Trim.rotLeftMany(AT, {5, 1}); }, "1", 2, 4);
+
+  Rescale(Full, A, 2);
+  Rescale(Trim, AT, 2);
+  ExpectSame(3);
+  ExpectSame(5);
+  std::vector<int> Steps = {1, 0, 5, 3, 2};
+  auto Many = Full.rotLeftMany(A, Steps);
+  auto ManyT = Trim.rotLeftMany(AT, Steps);
+  for (size_t I = 0; I < Steps.size(); ++I)
+    EXPECT_TRUE(serialize(Many[I]) == serialize(ManyT[I]))
+        << "hoisted amount " << Steps[I];
+
+  // Raising a key's level regenerates it.
+  Trim.generateRotationKey(5, 6);
+  EXPECT_EQ(RnsCkksKeyProbe::level(Trim, 5), 6);
 }
 
 TEST(RnsCkksSeededKeys, KeygenIsIdenticalAcrossThreadsAndLimbPool) {

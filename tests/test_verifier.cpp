@@ -15,6 +15,7 @@
 
 #include "core/Verifier.h"
 
+#include "core/FootprintAnalysis.h"
 #include "core/Validate.h"
 #include "nn/Networks.h"
 #include "support/Prng.h"
@@ -122,8 +123,9 @@ TEST(Verifier, ReportsMissingRotationKey) {
   ASSERT_FALSE(Compiled.RotationKeys.empty());
   size_t Slots = size_t(1) << (Compiled.LogN - 1);
 
-  std::set<int> Keys(Compiled.RotationKeys.begin(),
-                     Compiled.RotationKeys.end());
+  std::set<int> Keys;
+  for (const RotationKeySpec &K : Compiled.RotationKeys)
+    Keys.insert(K.Step);
   int Victim = -1;
   for (int Step : Keys) {
     std::set<int> Rest = Keys;
@@ -134,8 +136,9 @@ TEST(Verifier, ReportsMissingRotationKey) {
     }
   }
   if (Victim != -1) {
-    Keys.erase(Victim);
-    Compiled.RotationKeys.assign(Keys.begin(), Keys.end());
+    std::erase_if(Compiled.RotationKeys, [&](const RotationKeySpec &K) {
+      return K.Step == Victim;
+    });
   } else {
     Compiled.RotationKeys.clear(); // no key survives alone; drop them all
   }
@@ -153,6 +156,35 @@ TEST(Verifier, ReportsMissingRotationKey) {
       << D->HisaOp;
   EXPECT_NE(D->Message.find("no Galois key"), std::string::npos)
       << D->Message;
+}
+
+/// Under-provisioned key: lower one selected key below the level the
+/// compiler recorded for it. The verifier must reject the artifact, and
+/// the footprint must size the key the backend would generate.
+TEST(Verifier, ReportsKeyBelowItsSwitchLevel) {
+  TensorCircuit Circ = makeLeNet5Small(/*Reduction=*/4);
+  CompiledCircuit Compiled = compileCircuit(Circ, baseOptions());
+  EXPECT_TRUE(verifyCircuit(Circ, Compiled).ok());
+  auto It = std::find_if(
+      Compiled.RotationKeys.begin(), Compiled.RotationKeys.end(),
+      [](const RotationKeySpec &K) { return K.Level > 0; });
+  ASSERT_NE(It, Compiled.RotationKeys.end());
+  const int Step = It->Step, Recorded = It->Level;
+  const uint64_t KeyBytes = Compiled.Footprint.KeyBytes;
+  --It->Level;
+
+  VerificationReport R = verifyCircuit(Circ, Compiled);
+  EXPECT_FALSE(R.ok());
+  const VerifierDiagnostic *D =
+      findDiag(R.Diagnostics, ErrorCode::MissingRotationKey, Severity::Error);
+  ASSERT_NE(D, nullptr) << R.str();
+  EXPECT_NE(D->Message.find("rotation by " + std::to_string(Step)),
+            std::string::npos)
+      << D->Message;
+  EXPECT_NE(D->Message.find("level " + std::to_string(Recorded)),
+            std::string::npos)
+      << D->Message;
+  EXPECT_LT(analyzeFootprint(Circ, Compiled).KeyBytes, KeyBytes);
 }
 
 /// Hoisted fan-out with a missing key: issue a rotLeftMany directly at
