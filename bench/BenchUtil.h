@@ -89,18 +89,20 @@ inline std::vector<NetChoice> chooseNetworks(int Argc, char **Argv,
 /// Strips a `--threads N` (or `--threads=N`) flag out of (Argc, Argv) and
 /// resizes the global pool accordingly (0 / absent keeps the
 /// CHET_NUM_THREADS / hardware default). Returns the active lane count.
-/// Call before handing the arguments to any other parser.
+/// A value parseThreadCount rejects throws InvalidArgumentError before
+/// the pool is touched. Call before handing the arguments to any other
+/// parser.
 inline unsigned applyThreadsFlag(int &Argc, char **Argv) {
   unsigned Requested = 0;
   int W = 1;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--threads") && I + 1 < Argc) {
-      Requested = static_cast<unsigned>(std::atoi(Argv[I + 1]));
+      Requested = parseThreadCount(Argv[I + 1]);
       ++I;
       continue;
     }
     if (!std::strncmp(Argv[I], "--threads=", 10)) {
-      Requested = static_cast<unsigned>(std::atoi(Argv[I] + 10));
+      Requested = parseThreadCount(Argv[I] + 10);
       continue;
     }
     Argv[W++] = Argv[I];

@@ -22,12 +22,13 @@
 ///     per-thread.
 ///   - Each thread keeps a small per-bucket cache (LIFO, so the hottest
 ///     arena -- the one whose lines are still in this core's L1/L2 -- is
-///     reused first). The deterministic ThreadPool partition re-runs the
-///     same loop blocks on the same lanes, so steady-state execution hits
-///     thread caches without ever touching the shared lists.
+///     reused first). Which lane runs a nested ThreadPool block depends
+///     on timing, so a buffer may be acquired on one thread and released
+///     on another; the release lands in the releasing thread's cache.
 ///   - Thread-cache overflow and cold misses fall back to a mutex-guarded
-///     global free list; only genuinely new high-water demand reaches the
-///     system allocator.
+///     global free list, which absorbs that cross-thread traffic: a warm
+///     buffer that drifted to another lane is still reused, and only
+///     genuinely new high-water demand reaches the system allocator.
 ///   - Pooling never changes computed values (call sites fully overwrite
 ///     acquired storage, or explicitly ask for zeroed storage), so
 ///     results stay bit-identical to unpooled execution -- enforced by the

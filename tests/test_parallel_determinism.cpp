@@ -7,10 +7,11 @@
 /// \file
 /// The determinism contract of the threading model (DESIGN.md): the same
 /// seed and circuit produce byte-identical serialized ciphertexts under
-/// CHET_NUM_THREADS = 1, 2 and 8, because every parallel loop either has
-/// fully independent iterations or folds its terms in a fixed index
-/// order. Also unit-tests the EncodedPlaintextCache (hit/miss counting,
-/// manual and scale-change invalidation, evaluator wiring) and the
+/// 1, 2, 3, 4 and 8 lanes, because every parallel loop either has fully
+/// independent iterations or folds its terms in a fixed index order. At
+/// 3 lanes the partitions are uneven and idle lanes take nested blocks.
+/// Also unit-tests the EncodedPlaintextCache (hit/miss counting, manual
+/// and scale-change invalidation, evaluator wiring) and the
 /// ProfilingBackend adapter.
 ///
 //===----------------------------------------------------------------------===//
@@ -106,7 +107,7 @@ TEST(ParallelDeterminism, RnsCkksByteIdenticalAcrossThreadCounts) {
   };
   for (LayoutKind Kind : {LayoutKind::HW, LayoutKind::CHW}) {
     std::vector<ByteBuffer> Ref = pipelineBytes(Make, Kind, 1);
-    for (unsigned Threads : {2u, 8u}) {
+    for (unsigned Threads : {2u, 3u, 4u, 8u}) {
       std::vector<ByteBuffer> Got = pipelineBytes(Make, Kind, Threads);
       ASSERT_EQ(Ref.size(), Got.size());
       for (size_t I = 0; I < Ref.size(); ++I)
@@ -129,7 +130,7 @@ TEST(ParallelDeterminism, BigCkksByteIdenticalAcrossThreadCounts) {
     return BigCkksBackend(P);
   };
   std::vector<ByteBuffer> Ref = pipelineBytes(Make, LayoutKind::HW, 1);
-  for (unsigned Threads : {2u, 8u}) {
+  for (unsigned Threads : {2u, 3u, 4u, 8u}) {
     std::vector<ByteBuffer> Got = pipelineBytes(Make, LayoutKind::HW, Threads);
     ASSERT_EQ(Ref.size(), Got.size());
     for (size_t I = 0; I < Ref.size(); ++I)
@@ -150,7 +151,7 @@ TEST(ParallelDeterminism, FullCircuitPlainIdenticalAcrossThreadCounts) {
   };
   for (LayoutPolicy Policy : kAllLayoutPolicies) {
     Tensor3 Ref = Run(1, Policy);
-    for (unsigned Threads : {2u, 8u}) {
+    for (unsigned Threads : {2u, 3u, 4u, 8u}) {
       Tensor3 Got = Run(Threads, Policy);
       // Bit-exact, not approximately equal: same fold order everywhere.
       ASSERT_EQ(Ref.Data.size(), Got.Data.size());
