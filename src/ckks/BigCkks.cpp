@@ -177,7 +177,6 @@ BigCkksBackend::BigCkksBackend(const BigCkksParams &ParamsIn)
              maxLogQForSecurity(LogN, Params.Security),
              "-bit budget at LogN = ", LogN);
 
-  int LogPQ = Params.logQP();
   Secret = sampleTernary();
 
   // Public key modulo 2^LogQ.
@@ -194,7 +193,8 @@ BigCkksBackend::BigCkksBackend(const BigCkksParams &ParamsIn)
     });
   }
 
-  // Relinearization key for target s^2 modulo 2^LogPQ.
+  // Relinearization key for target s^2, serving the full modulus 2^LogQ
+  // (the key itself lives modulo 2^(LogQ + LogP)).
   {
     std::vector<BigInt> S2(Degree);
     Ring.multiply(Secret.data(), Secret.data(), S2.data(), LogN + 4);
@@ -642,7 +642,7 @@ void BigCkksBackend::mulAssign(Ct &C, const Ct &Other) {
 }
 
 void BigCkksBackend::mulPlainAssign(Ct &C, const Pt &P) {
-  const std::vector<BigInt> &M = plainBig(P);
+  plainBig(P); // fills P.C->MaxCoeffBits
   int PtBits = P.C->MaxCoeffBits;
   int Bits = C.LogQ + PtBits + LogN + 2;
   int Count = Ring.primesForBits(Bits);

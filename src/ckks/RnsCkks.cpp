@@ -587,11 +587,6 @@ void RnsCkksBackend::modSwitchTo(Ct &C, int Level) const {
   C.Level = Level;
 }
 
-static bool scalesMatch(double A, double B) {
-  double Ratio = A / B;
-  return Ratio > 1.0 - 1e-6 && Ratio < 1.0 + 1e-6;
-}
-
 void RnsCkksBackend::addAssign(Ct &C, const Ct &Other) const {
   CHET_CHECK(scalesMatch(C.Scale, Other.Scale), ScaleMismatch,
              "addition scale mismatch: ", C.Scale, " vs ", Other.Scale);

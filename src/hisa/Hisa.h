@@ -123,8 +123,11 @@ inline constexpr bool BackendEncodeIsValueAgnostic = false;
 /// false: analysis backends accumulate per-op statistics and the fault
 /// injector must see ops in a deterministic order, so only backends that
 /// opt in here (the two real CKKS schemes and the plain reference) get
-/// op-level kernel parallelism. The per-element loops *inside* a backend
-/// op parallelize regardless -- this trait only gates the kernel layer.
+/// op-level kernel parallelism. Only the kernel layer's forEachIndex and
+/// parallelReduce (runtime/Kernels.h) read it: they decide whether a
+/// loop's iterations run on the pool or in order, never which
+/// instructions the kernel issues. The per-element loops *inside* a
+/// backend op parallelize regardless.
 template <typename B>
 inline constexpr bool BackendSupportsParallelKernels = false;
 

@@ -25,16 +25,19 @@
 /// Fixed-point scales follow the paper's four roles (Section 5.5): image
 /// (Pc), plaintext-vector weights (Pw), scalar weights (Pu), masks (Pm).
 ///
-/// Parallelism. Backends that set BackendSupportsParallelKernels (the two
-/// real CKKS schemes and the plain reference) additionally get op-level
-/// parallelism: independent per-ciphertext work runs on the global thread
-/// pool, and accumulations go through parallelReduce, which maps terms in
-/// parallel but folds them in a fixed index order -- results are
-/// bit-identical to the sequential path for every thread count. Backends
-/// that accumulate per-op statistics (analysis, fault injection) keep the
-/// exact sequential instruction order. Weight/mask/bias encodings go
-/// through an optional EncodedPlaintextCache (PlaintextCache.h) threaded
-/// in as a KernelCache handle.
+/// Parallelism. Each kernel has one body for every backend. Op-level
+/// parallelism enters only through detail::forEachIndex and
+/// detail::parallelReduce, the only readers of
+/// BackendSupportsParallelKernels: on backends that set it (the two real
+/// CKKS schemes and the plain reference) independent per-ciphertext work
+/// runs on the global thread pool and accumulations fold in a fixed index
+/// order, so results are bit-identical for every thread count; the others
+/// (analysis, fault injection) run the same loops in index order. Which
+/// instructions a kernel issues -- every rotLeftMany batch included --
+/// depends on layout and weights only, never on the thread count, so the
+/// compiler's analysis prices the schedule that runs. Weight/mask/bias
+/// encodings go through an optional EncodedPlaintextCache
+/// (PlaintextCache.h) threaded in as a KernelCache handle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -230,13 +233,9 @@ inline TensorLayout stridedOutputLayout(const TensorLayout &In, int OutC,
 /// 2-D convolution, HW layout (Figure 4 of the paper): one rotation per
 /// (input channel, filter tap), one scalar multiplication per
 /// (output channel, input channel, tap), masking the junk entries of each
-/// output ciphertext afterwards.
-///
-/// Parallel path: taps are processed in windows -- all rotations of a
-/// window computed concurrently, then every output channel folds the
-/// window's terms concurrently (distinct accumulators, taps in original
-/// order), matching the sequential per-channel accumulation order
-/// exactly.
+/// output ciphertext afterwards. Each input channel's rotations form one
+/// hoisted batch, so the batching depends on the weights only; output
+/// channels fold in parallel, each into its own accumulator.
 template <HisaBackend B>
 CipherTensor<B> conv2dHW(B &Backend, const CipherTensor<B> &In,
                          const ConvWeights &Wt, int Stride, int Pad,
@@ -269,93 +268,39 @@ CipherTensor<B> conv2dHW(B &Backend, const CipherTensor<B> &In,
   Out.L = stridedOutputLayout(In.L, Wt.Cout, OutH, OutW, Stride,
                               MaskOutput ? nullptr : &TapSteps);
 
+  // Per input channel: one rotLeftMany hoists the taps some filter uses,
+  // then every output channel folds that channel's terms in tap order.
   std::vector<std::optional<typename B::Ct>> Acc(Wt.Cout);
-  if constexpr (BackendSupportsParallelKernels<B>) {
+  for (int Ci = 0; Ci < Wt.Cin; ++Ci) {
     struct Tap {
-      int Ci, Dy, Dx;
+      int Dy, Dx;
     };
     std::vector<Tap> Taps;
-    for (int Ci = 0; Ci < Wt.Cin; ++Ci)
-      for (int Dy = 0; Dy < Wt.Kh; ++Dy)
-        for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
-          bool AnyWeight = false;
-          for (int Co = 0; Co < Wt.Cout; ++Co)
-            AnyWeight |= Wt.at(Co, Ci, Dy, Dx) != 0.0;
-          if (AnyWeight)
-            Taps.push_back({Ci, Dy, Dx});
-        }
-    size_t Window = detail::reduceWindow();
-    std::vector<typename B::Ct> Rotated;
-    for (size_t Base = 0; Base < Taps.size(); Base += Window) {
-      size_t Cnt = std::min(Window, Taps.size() - Base);
-      Rotated.resize(Cnt);
-      // Taps are Ci-major, so each source ciphertext's taps form a
-      // contiguous run: hoist every run's tap window through one
-      // rotLeftMany (the backends amortize the key-switch decomposition
-      // across the whole window and parallelize internally).
-      for (size_t K = 0; K < Cnt;) {
-        size_t End = K + 1;
-        while (End < Cnt && Taps[Base + End].Ci == Taps[Base + K].Ci)
-          ++End;
-        std::vector<int> Steps;
-        Steps.reserve(End - K);
-        for (size_t J = K; J < End; ++J)
-          Steps.push_back(In.L.rotationFor(Taps[Base + J].Dy - Pad,
-                                           Taps[Base + J].Dx - Pad));
-        std::vector<typename B::Ct> Runs =
-            rotLeftMany(Backend, In.Cts[Taps[Base + K].Ci], Steps);
-        for (size_t J = K; J < End; ++J)
-          Rotated[J] = std::move(Runs[J - K]);
-        K = End;
+    std::vector<int> Steps;
+    for (int Dy = 0; Dy < Wt.Kh; ++Dy)
+      for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
+        bool AnyWeight = false;
+        for (int Co = 0; Co < Wt.Cout; ++Co)
+          AnyWeight |= Wt.at(Co, Ci, Dy, Dx) != 0.0;
+        if (!AnyWeight)
+          continue;
+        Taps.push_back({Dy, Dx});
+        Steps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
       }
-      parallelFor(0, size_t(Wt.Cout), 1, [&](size_t Co) {
-        for (size_t K = 0; K < Cnt; ++K) {
-          const Tap &T = Taps[Base + K];
-          double Weight = Wt.at(int(Co), T.Ci, T.Dy, T.Dx);
-          if (Weight == 0.0)
-            continue;
-          detail::accumulate(Backend, Acc[Co],
-                             mulScalar(Backend, Rotated[K], Weight,
-                                       static_cast<uint64_t>(S.Scalar)));
-        }
-      });
-    }
-  } else {
-    // Sequential path (analysis interpreters, fault injection): the same
-    // per-channel tap windows go through rotLeftMany, so every backend
-    // sees the hoisted instruction -- in particular the key-collection
-    // and cost analyses account the fan-out exactly once per window.
-    for (int Ci = 0; Ci < Wt.Cin; ++Ci) {
-      struct SeqTap {
-        int Dy, Dx;
-      };
-      std::vector<SeqTap> Taps;
-      std::vector<int> Steps;
-      for (int Dy = 0; Dy < Wt.Kh; ++Dy)
-        for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
-          bool AnyWeight = false;
-          for (int Co = 0; Co < Wt.Cout; ++Co)
-            AnyWeight |= Wt.at(Co, Ci, Dy, Dx) != 0.0;
-          if (!AnyWeight)
-            continue;
-          Taps.push_back({Dy, Dx});
-          Steps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
-        }
-      if (Taps.empty())
-        continue;
-      std::vector<typename B::Ct> Rotated =
-          rotLeftMany(Backend, In.Cts[Ci], Steps);
+    if (Taps.empty())
+      continue;
+    std::vector<typename B::Ct> Rotated =
+        rotLeftMany(Backend, In.Cts[Ci], Steps);
+    detail::forEachIndex<B>(size_t(Wt.Cout), [&](size_t Co) {
       for (size_t K = 0; K < Taps.size(); ++K) {
-        for (int Co = 0; Co < Wt.Cout; ++Co) {
-          double Weight = Wt.at(Co, Ci, Taps[K].Dy, Taps[K].Dx);
-          if (Weight == 0.0)
-            continue;
-          detail::accumulate(Backend, Acc[Co],
-                             mulScalar(Backend, Rotated[K], Weight,
-                                       static_cast<uint64_t>(S.Scalar)));
-        }
+        double Weight = Wt.at(int(Co), Ci, Taps[K].Dy, Taps[K].Dx);
+        if (Weight == 0.0)
+          continue;
+        detail::accumulate(Backend, Acc[Co],
+                           mulScalar(Backend, Rotated[K], Weight,
+                                     static_cast<uint64_t>(S.Scalar)));
       }
-    }
+    });
   }
   for (int Co = 0; Co < Wt.Cout; ++Co) {
     if (!Acc[Co]) // all-zero filter: materialize an explicit zero
@@ -376,12 +321,10 @@ CipherTensor<B> conv2dHW(B &Backend, const CipherTensor<B> &In,
 /// variant whose relative cost against mulScalar drives the HW-vs-CHW
 /// tradeoff of Table 1 and Section 4.2.
 ///
-/// Parallel path: per input block, the Kh*Kw spatial tap rotations are
-/// hoisted in one rotation fan-out; per tap, the diagonal weight vectors
-/// are built concurrently and the needed channel diagonals come from a
-/// second hoisted fan-out; each output block folds its (diagonal) terms
-/// concurrently -- per-block accumulation order matches the sequential
-/// path exactly.
+/// Per input block, the Kh*Kw spatial tap rotations are hoisted in one
+/// rotation fan-out; per tap, the diagonal weight vectors are built in
+/// parallel, the needed channel diagonals come from a second hoisted
+/// fan-out, and each output block folds its terms in diagonal order.
 template <HisaBackend B>
 CipherTensor<B> conv2dCHW(B &Backend, const CipherTensor<B> &In,
                           const ConvWeights &Wt, int Stride, int Pad,
@@ -420,118 +363,58 @@ CipherTensor<B> conv2dCHW(B &Backend, const CipherTensor<B> &In,
     return kSubWeight | Idx;
   };
 
-  if constexpr (BackendSupportsParallelKernels<B>) {
-    std::vector<std::vector<double>> Plains(size_t(Block) * OutBlocks);
-    std::vector<std::optional<typename B::Ct>> Diag(Block);
-    for (int Ib = 0; Ib < InBlocks; ++Ib) {
-      // All taps rotate the same input block: hoist the Kh*Kw spatial
-      // rotations in one fan-out before walking the taps.
-      std::vector<int> SpatialSteps;
-      SpatialSteps.reserve(size_t(Wt.Kh) * Wt.Kw);
-      for (int Dy = 0; Dy < Wt.Kh; ++Dy)
-        for (int Dx = 0; Dx < Wt.Kw; ++Dx)
-          SpatialSteps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
-      std::vector<typename B::Ct> Spatials =
-          rotLeftMany(Backend, In.Cts[Ib], SpatialSteps);
-      for (int Dy = 0; Dy < Wt.Kh; ++Dy) {
-        for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
-          parallelFor(0, Plains.size(), 1, [&](size_t Idx) {
-            int D = int(Idx) / OutBlocks, Ob = int(Idx) % OutBlocks;
-            Plains[Idx] =
-                buildChwConvPlain(In.L, Out.L, Wt, Ob, Ib, D, Dy, Dx, Pad);
-          });
-          std::vector<size_t> NeededD;
-          for (int D = 0; D < Block; ++D)
-            for (int Ob = 0; Ob < OutBlocks; ++Ob)
-              if (!Plains[size_t(D) * OutBlocks + Ob].empty()) {
-                NeededD.push_back(size_t(D));
-                break;
-              }
-          if (NeededD.empty())
-            continue;
-          const typename B::Ct &Spatial =
-              Spatials[size_t(Dy) * Wt.Kw + Dx];
-          std::fill(Diag.begin(), Diag.end(), std::nullopt);
-          // One hoisted fan-out covers every needed channel diagonal of
-          // this tap (amount 0 degenerates to a copy inside the backend).
-          std::vector<int> DiagSteps;
-          DiagSteps.reserve(NeededD.size());
-          for (size_t D : NeededD)
-            DiagSteps.push_back(int(D) * In.L.ChStride);
-          std::vector<typename B::Ct> DiagR =
-              rotLeftMany(Backend, Spatial, DiagSteps);
-          for (size_t K = 0; K < NeededD.size(); ++K)
-            Diag[NeededD[K]] = std::move(DiagR[K]);
-          parallelFor(0, size_t(OutBlocks), 1, [&](size_t Ob) {
-            for (int D = 0; D < Block; ++D) {
-              std::vector<double> &Plain = Plains[size_t(D) * OutBlocks + Ob];
-              if (Plain.empty())
-                continue;
-              auto P = cachedEncode(Backend, KC,
-                                    SubOf(int(Ob), Ib, D, Dy, Dx), In.L,
-                                    S.Weight, [&] { return std::move(Plain); });
-              detail::accumulate(Backend, Acc[Ob],
-                                 mulPlain(Backend, *Diag[D], *P));
+  std::vector<std::vector<double>> Plains(size_t(Block) * OutBlocks);
+  std::vector<std::optional<typename B::Ct>> Diag(Block);
+  for (int Ib = 0; Ib < InBlocks; ++Ib) {
+    // All taps rotate the same input block: hoist the Kh*Kw spatial
+    // rotations in one fan-out before walking the taps.
+    std::vector<int> SpatialSteps;
+    SpatialSteps.reserve(size_t(Wt.Kh) * Wt.Kw);
+    for (int Dy = 0; Dy < Wt.Kh; ++Dy)
+      for (int Dx = 0; Dx < Wt.Kw; ++Dx)
+        SpatialSteps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
+    std::vector<typename B::Ct> Spatials =
+        rotLeftMany(Backend, In.Cts[Ib], SpatialSteps);
+    for (int Dy = 0; Dy < Wt.Kh; ++Dy) {
+      for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
+        detail::forEachIndex<B>(Plains.size(), [&](size_t Idx) {
+          int D = int(Idx) / OutBlocks, Ob = int(Idx) % OutBlocks;
+          Plains[Idx] =
+              buildChwConvPlain(In.L, Out.L, Wt, Ob, Ib, D, Dy, Dx, Pad);
+        });
+        std::vector<size_t> NeededD;
+        for (int D = 0; D < Block; ++D)
+          for (int Ob = 0; Ob < OutBlocks; ++Ob)
+            if (!Plains[size_t(D) * OutBlocks + Ob].empty()) {
+              NeededD.push_back(size_t(D));
+              break;
             }
-          });
-        }
-      }
-    }
-  } else {
-    // Sequential path: same tap structure as the parallel path -- the
-    // needed diagonals are discovered up front so a single rotLeftMany
-    // per tap covers them, and the per-(diagonal, block) accumulation
-    // order is identical.
-    std::vector<std::vector<double>> Plains(size_t(Block) * OutBlocks);
-    std::vector<std::optional<typename B::Ct>> Diag(Block);
-    for (int Ib = 0; Ib < InBlocks; ++Ib) {
-      std::vector<int> SpatialSteps;
-      SpatialSteps.reserve(size_t(Wt.Kh) * Wt.Kw);
-      for (int Dy = 0; Dy < Wt.Kh; ++Dy)
-        for (int Dx = 0; Dx < Wt.Kw; ++Dx)
-          SpatialSteps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
-      std::vector<typename B::Ct> Spatials =
-          rotLeftMany(Backend, In.Cts[Ib], SpatialSteps);
-      for (int Dy = 0; Dy < Wt.Kh; ++Dy) {
-        for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
-          for (size_t Idx = 0; Idx < Plains.size(); ++Idx) {
-            int D = int(Idx) / OutBlocks, Ob = int(Idx) % OutBlocks;
-            Plains[Idx] =
-                buildChwConvPlain(In.L, Out.L, Wt, Ob, Ib, D, Dy, Dx, Pad);
-          }
-          std::vector<size_t> NeededD;
-          for (int D = 0; D < Block; ++D)
-            for (int Ob = 0; Ob < OutBlocks; ++Ob)
-              if (!Plains[size_t(D) * OutBlocks + Ob].empty()) {
-                NeededD.push_back(size_t(D));
-                break;
-              }
-          if (NeededD.empty())
-            continue;
-          const typename B::Ct &Spatial =
-              Spatials[size_t(Dy) * Wt.Kw + Dx];
-          std::fill(Diag.begin(), Diag.end(), std::nullopt);
-          std::vector<int> DiagSteps;
-          DiagSteps.reserve(NeededD.size());
-          for (size_t D : NeededD)
-            DiagSteps.push_back(int(D) * In.L.ChStride);
-          std::vector<typename B::Ct> DiagR =
-              rotLeftMany(Backend, Spatial, DiagSteps);
-          for (size_t K = 0; K < NeededD.size(); ++K)
-            Diag[NeededD[K]] = std::move(DiagR[K]);
+        if (NeededD.empty())
+          continue;
+        const typename B::Ct &Spatial = Spatials[size_t(Dy) * Wt.Kw + Dx];
+        std::fill(Diag.begin(), Diag.end(), std::nullopt);
+        // One hoisted fan-out covers every needed channel diagonal of
+        // this tap (amount 0 degenerates to a copy inside the backend).
+        std::vector<int> DiagSteps;
+        DiagSteps.reserve(NeededD.size());
+        for (size_t D : NeededD)
+          DiagSteps.push_back(int(D) * In.L.ChStride);
+        std::vector<typename B::Ct> DiagR =
+            rotLeftMany(Backend, Spatial, DiagSteps);
+        for (size_t K = 0; K < NeededD.size(); ++K)
+          Diag[NeededD[K]] = std::move(DiagR[K]);
+        detail::forEachIndex<B>(size_t(OutBlocks), [&](size_t Ob) {
           for (int D = 0; D < Block; ++D) {
-            for (int Ob = 0; Ob < OutBlocks; ++Ob) {
-              std::vector<double> &Plain = Plains[size_t(D) * OutBlocks + Ob];
-              if (Plain.empty())
-                continue;
-              auto P = cachedEncode(Backend, KC, SubOf(Ob, Ib, D, Dy, Dx),
-                                    In.L, S.Weight,
-                                    [&] { return std::move(Plain); });
-              detail::accumulate(Backend, Acc[Ob],
-                                 mulPlain(Backend, *Diag[D], *P));
-            }
+            std::vector<double> &Plain = Plains[size_t(D) * OutBlocks + Ob];
+            if (Plain.empty())
+              continue;
+            auto P = cachedEncode(Backend, KC,
+                                  SubOf(int(Ob), Ib, D, Dy, Dx), In.L,
+                                  S.Weight, [&] { return std::move(Plain); });
+            detail::accumulate(Backend, Acc[Ob],
+                               mulPlain(Backend, *Diag[D], *P));
           }
-        }
+        });
       }
     }
   }
@@ -797,11 +680,10 @@ inline int fcGiantStep(size_t Slots) {
 /// O(sqrt(slots)) rotations total instead of Out * log(slots). Works on
 /// strided inputs via generalized diagonals (the matrix is indexed by
 /// physical slot), produces the dense CHW vector directly, and needs no
-/// masking: rows >= Out are identically zero in every diagonal.
-///
-/// Parallel path: the needed baby rotations are computed concurrently up
-/// front, then each giant's per-diagonal mulPlain terms map concurrently
-/// and fold in diagonal order (giants stay in K order).
+/// masking: rows >= Out are identically zero in every diagonal. The
+/// needed baby rotations form one hoisted batch; each giant's
+/// per-diagonal terms map in parallel and fold in diagonal order (giants
+/// stay in K order).
 template <HisaBackend B>
 CipherTensor<B> fullyConnectedBsgs(B &Backend, const CipherTensor<B> &In,
                                    const FcWeights &Wt,
@@ -820,86 +702,40 @@ CipherTensor<B> fullyConnectedBsgs(B &Backend, const CipherTensor<B> &In,
     return kSubWeight | (uint64_t(K) * uint64_t(G) + uint64_t(Step));
   };
 
+  // One hoisted fan-out produces every needed baby rotation (amount 0
+  // is a copy inside the backend).
+  std::vector<std::optional<typename B::Ct>> Baby(G);
+  {
+    std::vector<bool> Used(G, false);
+    for (const auto &E : Plains)
+      Used[E.first.second] = true;
+    std::vector<int> BabySteps;
+    for (int Step = 0; Step < G; ++Step)
+      if (Used[Step])
+        BabySteps.push_back(Step);
+    std::vector<typename B::Ct> R = rotLeftMany(Backend, In.Cts[0], BabySteps);
+    for (size_t I = 0; I < BabySteps.size(); ++I)
+      Baby[BabySteps[I]] = std::move(R[I]);
+  }
   std::optional<typename B::Ct> Acc;
-  if constexpr (BackendSupportsParallelKernels<B>) {
-    // Pre-build every needed baby rotation concurrently.
-    std::vector<std::optional<typename B::Ct>> Baby(G);
-    std::vector<size_t> NeededSteps;
-    {
-      std::vector<bool> Used(G, false);
-      for (const auto &E : Plains)
-        Used[E.first.second] = true;
-      for (int Step = 0; Step < G; ++Step)
-        if (Used[Step])
-          NeededSteps.push_back(size_t(Step));
-    }
-    // One hoisted fan-out produces every baby rotation (amount 0 is a
-    // copy inside the backend).
-    {
-      std::vector<int> BabySteps;
-      BabySteps.reserve(NeededSteps.size());
-      for (size_t Step : NeededSteps)
-        BabySteps.push_back(int(Step));
-      std::vector<typename B::Ct> R =
-          rotLeftMany(Backend, In.Cts[0], BabySteps);
-      for (size_t I = 0; I < NeededSteps.size(); ++I)
-        Baby[NeededSteps[I]] = std::move(R[I]);
-    }
-    auto It = Plains.begin();
-    while (It != Plains.end()) {
-      int K = It->first.first;
-      std::vector<decltype(It)> Group;
-      for (; It != Plains.end() && It->first.first == K; ++It)
-        Group.push_back(It);
-      std::optional<typename B::Ct> Giant;
-      detail::parallelReduce(
-          Backend, Giant, Group.size(),
-          [&](size_t I) -> std::optional<typename B::Ct> {
-            auto GIt = Group[I];
-            auto P = cachedEncode(Backend, KC,
-                                  DiagSub(K, GIt->first.second), In.L,
-                                  S.Weight, [&] { return GIt->second; });
-            return mulPlain(Backend, *Baby[GIt->first.second], *P);
-          });
-      if (K != 0)
-        Backend.rotLeftAssign(*Giant, K * G);
-      detail::accumulate(Backend, Acc, std::move(*Giant));
-    }
-  } else {
-    // Sequential path: the needed baby rotations are known from the
-    // diagonal table, so they hoist through one rotLeftMany exactly as
-    // in the parallel path, then every giant folds in diagonal order.
-    std::vector<std::optional<typename B::Ct>> Baby(G);
-    {
-      std::vector<bool> Used(G, false);
-      for (const auto &E : Plains)
-        Used[E.first.second] = true;
-      std::vector<int> BabySteps;
-      std::vector<int> StepIds;
-      for (int Step = 0; Step < G; ++Step)
-        if (Used[Step]) {
-          BabySteps.push_back(Step);
-          StepIds.push_back(Step);
-        }
-      std::vector<typename B::Ct> R =
-          rotLeftMany(Backend, In.Cts[0], BabySteps);
-      for (size_t I = 0; I < StepIds.size(); ++I)
-        Baby[StepIds[I]] = std::move(R[I]);
-    }
-    auto It = Plains.begin();
-    while (It != Plains.end()) {
-      int K = It->first.first;
-      std::optional<typename B::Ct> Giant;
-      for (; It != Plains.end() && It->first.first == K; ++It) {
-        auto P = cachedEncode(Backend, KC, DiagSub(K, It->first.second),
-                              In.L, S.Weight, [&] { return It->second; });
-        detail::accumulate(Backend, Giant,
-                           mulPlain(Backend, *Baby[It->first.second], *P));
-      }
-      if (K != 0)
-        Backend.rotLeftAssign(*Giant, K * G);
-      detail::accumulate(Backend, Acc, std::move(*Giant));
-    }
+  auto It = Plains.begin();
+  while (It != Plains.end()) {
+    int K = It->first.first;
+    std::vector<decltype(It)> Group;
+    for (; It != Plains.end() && It->first.first == K; ++It)
+      Group.push_back(It);
+    std::optional<typename B::Ct> Giant;
+    detail::parallelReduce(
+        Backend, Giant, Group.size(),
+        [&](size_t I) -> std::optional<typename B::Ct> {
+          auto GIt = Group[I];
+          auto P = cachedEncode(Backend, KC, DiagSub(K, GIt->first.second),
+                                In.L, S.Weight, [&] { return GIt->second; });
+          return mulPlain(Backend, *Baby[GIt->first.second], *P);
+        });
+    if (K != 0)
+      Backend.rotLeftAssign(*Giant, K * G);
+    detail::accumulate(Backend, Acc, std::move(*Giant));
   }
   if (!Acc)
     Acc = mulPlain(Backend, In.Cts[0],
@@ -1015,16 +851,11 @@ CipherTensor<B> concatChannels(B &Backend, const CipherTensor<B> &A,
     return T;
   };
   std::vector<std::optional<typename B::Ct>> Acc(Out.L.ctCount());
-  if constexpr (BackendSupportsParallelKernels<B>) {
-    parallelFor(0, Acc.size(), 1, [&](size_t Blk) {
-      int Hi = std::min(Out.L.C, int(Blk + 1) * Block);
-      for (int C = int(Blk) * Block; C < Hi; ++C)
-        detail::accumulate(Backend, Acc[Blk], ChannelTerm(C));
-    });
-  } else {
-    for (int C = 0; C < Out.L.C; ++C)
-      detail::accumulate(Backend, Acc[C / Block], ChannelTerm(C));
-  }
+  detail::forEachIndex<B>(Acc.size(), [&](size_t Blk) {
+    int Hi = std::min(Out.L.C, int(Blk + 1) * Block);
+    for (int C = int(Blk) * Block; C < Hi; ++C)
+      detail::accumulate(Backend, Acc[Blk], ChannelTerm(C));
+  });
   for (auto &AccCt : Acc) {
     rescaleToFloor(Backend, *AccCt, S.Image);
     Out.Cts.push_back(std::move(*AccCt));
@@ -1070,26 +901,16 @@ CipherTensor<B> convertLayout(B &Backend, const CipherTensor<B> &In,
     setSupport(L, rotateSupport(slotSupport(In.L), BlockSteps, L.Slots));
     Out.L = L;
     std::vector<std::optional<typename B::Ct>> Acc(L.ctCount());
-    if constexpr (BackendSupportsParallelKernels<B>) {
-      parallelFor(0, Acc.size(), 1, [&](size_t Blk) {
-        int Hi = std::min(L.C, int(Blk + 1) * L.ChPerCt);
-        for (int C = int(Blk) * L.ChPerCt; C < Hi; ++C) {
-          int Block = C % L.ChPerCt;
-          detail::accumulate(
-              Backend, Acc[Blk],
-              Block == 0 ? Backend.copy(In.Cts[C])
-                         : rotRight(Backend, In.Cts[C], Block * ChStride));
-        }
-      });
-    } else {
-      for (int C = 0; C < L.C; ++C) {
+    detail::forEachIndex<B>(Acc.size(), [&](size_t Blk) {
+      int Hi = std::min(L.C, int(Blk + 1) * L.ChPerCt);
+      for (int C = int(Blk) * L.ChPerCt; C < Hi; ++C) {
         int Block = C % L.ChPerCt;
         detail::accumulate(
-            Backend, Acc[L.ctOf(C)],
+            Backend, Acc[Blk],
             Block == 0 ? Backend.copy(In.Cts[C])
                        : rotRight(Backend, In.Cts[C], Block * ChStride));
       }
-    }
+    });
     for (auto &A : Acc)
       Out.Cts.push_back(std::move(*A));
     return Out;

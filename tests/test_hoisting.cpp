@@ -13,6 +13,11 @@
 /// the key-switch NTT counters show the >= 2x forward-NTT amortization on
 /// a CHW convolution layer and a BSGS fully-connected kernel with one
 /// special prime, and the exact shared-ModUp saving with several.
+/// Finally, the schedule the compiler prices is the one that runs: for
+/// every zoo network (plus a packed-FC and a concat circuit) under each
+/// layout policy, the analysis interpreter's op histogram (hoisted
+/// batches, rotated amounts, multiplications, additions, rescales)
+/// equals a plain-backend run's at 1, 4 and 8 lanes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,12 +27,17 @@
 #include "ckks/RnsCkks.h"
 #include "ckks/Serialization.h"
 #include "core/Analysis.h"
+#include "core/Evaluate.h"
+#include "hisa/PlainBackend.h"
 #include "hisa/ProfilingBackend.h"
+#include "nn/Networks.h"
 #include "support/Prng.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -152,6 +162,47 @@ RnsRun bigRun(LayoutKind Kind, unsigned Threads, bool Hoist,
   R.HoistedBatches = S.HoistedBatches;
   return R;
 }
+
+/// The plain reference, tallying the two rotation facts the analysis
+/// prices: batches with a non-zero amount, and non-zero amounts, hoisted
+/// or not. A rotation by zero is a copy, which nothing prices.
+class RotationTally : public PlainBackend {
+public:
+  using PlainBackend::PlainBackend;
+
+  void rotLeftAssign(Ct &C, int Steps) const {
+    tally({Steps});
+    PlainBackend::rotLeftAssign(C, Steps);
+  }
+  void rotRightAssign(Ct &C, int Steps) const {
+    tally({-Steps});
+    PlainBackend::rotRightAssign(C, Steps);
+  }
+  std::vector<Ct> rotLeftMany(const Ct &C,
+                              const std::vector<int> &Steps) const {
+    Batches += tally(Steps) > 0;
+    return PlainBackend::rotLeftMany(C, Steps);
+  }
+
+  mutable std::atomic<uint64_t> Batches{0}, Amounts{0};
+
+private:
+  uint64_t tally(const std::vector<int> &Steps) const {
+    uint64_t NonZero = 0;
+    for (int S : Steps)
+      NonZero += normalizeRotation(S, slotCount()) != 0;
+    Amounts += NonZero;
+    return NonZero;
+  }
+};
+
+} // namespace
+
+template <>
+inline constexpr bool chet::BackendSupportsParallelKernels<RotationTally> =
+    true;
+
+namespace {
 
 void expectSameBytes(const std::vector<ByteBuffer> &Ref,
                      const std::vector<ByteBuffer> &Got,
@@ -450,6 +501,84 @@ TEST(Hoisting, HybridChwConvSavesExactlyTheSharedModUps) {
     for (size_t I = 0; I < OutHoisted.Cts.size(); ++I)
       EXPECT_EQ(serialize(OutHoisted.Cts[I]), serialize(OutNaive.Cts[I]))
           << What;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The priced schedule is the run schedule.
+//===----------------------------------------------------------------------===//
+
+/// The zoo at reduced size, plus two shapes it lacks: a packed FC layer
+/// whose unmasked pool input forces two row groups, and a Fire-module
+/// channel concatenation (the zoo's SqueezeNet fuses its expands).
+std::vector<TensorCircuit> scheduleCircuits() {
+  std::vector<TensorCircuit> Circs;
+  for (const NetworkEntry &Entry : networkZoo())
+    Circs.push_back(Entry.Build(/*Reduction=*/8));
+
+  TensorCircuit Fc("packed-fc");
+  Fc.output(Fc.fullyConnected(Fc.averagePool(Fc.input(2, 8, 8), 2, 2),
+                              randomFc(32, 2 * 4 * 4, 15)));
+  Circs.push_back(std::move(Fc));
+
+  TensorCircuit Fire("fire");
+  int Sq = Fire.conv2d(Fire.input(2, 8, 8), randomConv(2, 2, 1, 16), 1, 0);
+  int Cat = Fire.concatChannels(Fire.conv2d(Sq, randomConv(3, 2, 1, 17), 1, 0),
+                                Fire.conv2d(Sq, randomConv(3, 2, 3, 18), 1, 1));
+  Fire.output(Fire.polyActivation(Cat, 0.25, 0.5));
+  Circs.push_back(std::move(Fire));
+  return Circs;
+}
+
+TEST(Hoisting, AnalysisPricesTheScheduleThatRuns) {
+  // The compiler's cost model and key selection read the analysis
+  // interpreter's histogram; a kernel whose batching followed the lane
+  // count would make them price a schedule that never runs.
+  PoolGuard Guard;
+  constexpr int LogN = 12;
+  ScaleConfig S;
+  for (const TensorCircuit &Circ : scheduleCircuits()) {
+    Tensor3 Image = randomImageFor(Circ, 5);
+    for (LayoutPolicy Policy : kAllLayoutPolicies) {
+      std::string What = Circ.name() + ", " + layoutPolicyName(Policy);
+      AnalysisConfig Cfg;
+      Cfg.Scheme = SchemeKind::BigCkks; // power-of-two rescales, as plain
+      Cfg.LogN = LogN;
+      AnalysisBackend AB(Cfg);
+      evaluateCircuit(AB, Circ,
+                      encryptTensor(AB, Image,
+                                    circuitInputLayout(Circ, Policy,
+                                                       AB.slotCount()),
+                                    S),
+                      S, Policy);
+      auto Priced = [&](const char *Op) {
+        auto It = AB.opCounts().find(Op);
+        return It == AB.opCounts().end() ? uint64_t(0) : It->second;
+      };
+      ASSERT_EQ(Priced("rotateHops"), 0u) << What;
+
+      for (unsigned Threads : {1u, 4u}) {
+        setGlobalThreadCount(Threads);
+        RotationTally Inner(LogN);
+        ProfilingBackend<RotationTally> Prof(Inner);
+        evaluateCircuit(Prof, Circ,
+                        encryptTensor(Prof, Image,
+                                      circuitInputLayout(Circ, Policy,
+                                                         Prof.slotCount()),
+                                      S),
+                        S, Policy);
+        std::map<std::string, uint64_t> Ran;
+        for (const auto &Row : Prof.stats())
+          Ran[Row.Name] = Row.Count;
+        std::string At = What + ", " + std::to_string(Threads) + " lanes";
+        EXPECT_EQ(Inner.Batches.load(), Priced("rotateHoistShared")) << At;
+        EXPECT_EQ(Inner.Amounts.load(), Priced("rotate")) << At;
+        for (const char *Op :
+             {"encode", "mulPlain", "mulScalar", "mul", "add", "addPlain",
+              "rescale"})
+          EXPECT_EQ(Ran[Op], Priced(Op)) << At << ": " << Op;
+      }
+    }
   }
 }
 

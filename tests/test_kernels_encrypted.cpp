@@ -27,7 +27,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 using namespace chet;
@@ -219,10 +218,11 @@ TEST(EncryptedKernels, PackedFcChainMatchesReferenceAtAllThreadCounts) {
   setGlobalThreadCount(0);
 }
 
-TEST(EncryptedKernels, PackedFcAnalysisCountsMatchProfiledRun) {
-  // The analysis backend runs the same kernel body, so the op histogram
-  // it prices for the FC layer is the one the real backend executes; and
-  // every rotation it collects is a power of two (no new Galois keys).
+TEST(EncryptedKernels, PackedFcRotatesOnlyByPowersOfTwo) {
+  // Every rotation the shared tree adds is a power of two (no new Galois
+  // keys), and the real run issues far fewer than the per-row tree's
+  // Out * log2(slots). test_hoisting's AnalysisPricesTheScheduleThatRuns
+  // checks that the analysis counts this layer's ops as they run.
   ScaleConfig S = ScaleConfig::fromExponents(30, 30, 30, 16);
   Tensor3 In = randomTensor(2, 8, 8, 14);
   // 32 rows: the pool's junk forces two groups (test_kernels_plain's
@@ -238,15 +238,8 @@ TEST(EncryptedKernels, PackedFcAnalysisCountsMatchProfiledRun) {
       makeInputLayout(LayoutKind::HW, 2, 8, 8, 0, AB.slotCount());
   auto APooled = averagePool(AB, encryptTensor(AB, In, AL, S), 2, 2, S,
                              /*MaskOutput=*/false);
-  std::map<std::string, uint64_t> Before = AB.opCounts();
   std::set<int> StepsBefore = AB.rotationSteps();
   (void)fullyConnectedReplicate(AB, APooled, Fc, S);
-  auto Delta = [&](const std::string &Op) {
-    auto It = AB.opCounts().find(Op);
-    uint64_t After = It == AB.opCounts().end() ? 0 : It->second;
-    auto Jt = Before.find(Op);
-    return After - (Jt == Before.end() ? 0 : Jt->second);
-  };
   for (int Step : AB.rotationSteps()) {
     if (StepsBefore.count(Step))
       continue;
@@ -264,19 +257,12 @@ TEST(EncryptedKernels, PackedFcAnalysisCountsMatchProfiledRun) {
                             /*MaskOutput=*/false);
   Prof.reset();
   auto Out = fullyConnectedReplicate(Prof, Pooled, Fc, S);
-  std::map<std::string, uint64_t> Ran;
+  uint64_t RotLeft = 0;
   for (const auto &Row : Prof.stats())
-    Ran[Row.Name] = Row.Count;
-
-  EXPECT_GT(Ran["rotLeft"], 0u);
-  EXPECT_LT(Ran["rotLeft"], 32u * 11u / 8); // far below Out * log2(slots)
-  EXPECT_EQ(Ran["rotLeft"], Delta("rotate"));
-  EXPECT_EQ(Delta("rotateHops"), 0u);
-  EXPECT_EQ(Ran["mulPlain"], Delta("mulPlain"));
-  EXPECT_EQ(Ran["add"], Delta("add"));
-  EXPECT_EQ(Ran["addPlain"], Delta("addPlain"));
-  EXPECT_EQ(Ran["rescale"], Delta("rescale"));
-  EXPECT_EQ(Ran["encode"], Delta("encode"));
+    if (Row.Name == "rotLeft")
+      RotLeft = Row.Count;
+  EXPECT_GT(RotLeft, 0u);
+  EXPECT_LT(RotLeft, 32u * 11u / 8); // far below Out * log2(slots)
   EXPECT_LT(maxAbsDiff(decryptTensor(Prof, Out),
                        refFullyConnected(refAveragePool(In, 2, 2), Fc)),
             1e-2);

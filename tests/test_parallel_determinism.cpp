@@ -71,6 +71,10 @@ struct PoolGuard {
 /// Serialized bytes of every output ciphertext of the small encrypted
 /// pipeline (conv -> activation -> pool -> FC) under \p Threads lanes,
 /// using backend \p MakeBackend built fresh per call with a fixed seed.
+/// Side stages off the pooled tensor cover the remaining kernels: the
+/// HW -> CHW -> HW layout round trip, the general (rotate-and-mask) CHW
+/// channel concatenation, and a forced BSGS fully-connected layer on the
+/// FC output.
 template <typename MakeFn>
 std::vector<ByteBuffer> pipelineBytes(MakeFn &&MakeBackend, LayoutKind Kind,
                                       unsigned Threads) {
@@ -88,10 +92,18 @@ std::vector<ByteBuffer> pipelineBytes(MakeFn &&MakeBackend, LayoutKind Kind,
   auto A1 = polyActivation(Backend, C1, 0.25, 0.5, S);
   auto P1 = averagePool(Backend, A1, 2, 2, S);
   auto F1 = fullyConnected(Backend, P1, Fc, S);
+  auto Chw = convertLayout(Backend, P1, LayoutKind::CHW, S);
+  auto Hw = convertLayout(Backend, Chw, LayoutKind::HW, S);
+  // Two channels fill no whole ciphertext: the rotate-and-mask path.
+  auto Cat = concatChannels(Backend, Chw, Chw, S);
+  // A 4 x 4 layer on F1's dense output keeps BSGS to a few rotations.
+  auto F2 = fullyConnected(Backend, F1, randomFc(4, 4, 4), S, LayoutKind::CHW,
+                           FcAlgorithm::Bsgs);
 
   std::vector<ByteBuffer> Bytes;
-  for (const auto &Ct : F1.Cts)
-    Bytes.push_back(serialize(Ct));
+  for (const auto *T : {&F1, &Hw, &Cat, &F2})
+    for (const auto &Ct : T->Cts)
+      Bytes.push_back(serialize(Ct));
   return Bytes;
 }
 
