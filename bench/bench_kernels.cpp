@@ -26,7 +26,9 @@
 ///      (round-trip identity, schoolbook negacyclic reference);
 ///   2. byte-identity: a mul -> rescale -> rotate chain serialized under
 ///      the pool must equal the same chain with the pool disabled, on
-///      both CKKS backends;
+///      both CKKS backends, and on RNS-CKKS over 40-bit and 30-bit scale
+///      primes (the latter exercises the 32-bit key rows and their
+///      64-bit inner product);
 ///   3. kernel-generation byte-identity: the vectorized forward/inverse
 ///      (and the fused pointwiseMulInverse) must match the scalar
 ///      reference kernels bit for bit on both prime widths.
@@ -160,8 +162,9 @@ void verifyFusedNtt() {
 // Correctness gate 2: pooled / unpooled byte identity
 //===--------------------------------------------------------------------===//
 
-std::unique_ptr<RnsCkksBackend> makeRns(int LogN, int Levels) {
-  RnsCkksParams P = RnsCkksParams::create(LogN, Levels, 60, 40);
+std::unique_ptr<RnsCkksBackend> makeRns(int LogN, int Levels,
+                                        int ScaleBits = 40) {
+  RnsCkksParams P = RnsCkksParams::create(LogN, Levels, 60, ScaleBits);
   P.Security = SecurityLevel::None;
   P.StockPow2Keys = false;
   P.Seed = 1234;
@@ -214,6 +217,8 @@ void verifyByteIdentity() {
     }
   };
   RunBoth([] { return makeRns(12, 6); }, "rns-ckks");
+  // 30-bit scale primes: narrow key rows and their 64-bit inner product.
+  RunBoth([] { return makeRns(12, 6, 30); }, "rns-ckks narrow");
   RunBoth([] { return makeBig(12, 240); }, "big-ckks");
   Pool.setEnabled(Was);
 }

@@ -308,7 +308,14 @@ RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
   };
   KSwitchKey Key;
   Key.Level = Level;
+  size_t WideRows = 0, NarrowRows = 0;
+  for (size_t K = 0; K < Moduli; ++K)
+    Key.RowOffset.push_back(
+        (isNarrowModulus(modAt(ModIndex(K)).value()) ? NarrowRows++
+                                                     : WideRows++) *
+        Degree);
   Key.B.resize(Digits);
+  Key.B32.resize(Digits);
   // Walk the stream in the order the top-level key consumes it (per digit
   // g: E_g, then a_{g,0..AllModuli-1}), only checkpointing and skipping
   // each uniform block, so the kept blocks and the state left for later
@@ -319,7 +326,8 @@ RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
   for (size_t G = 0; G < AllDigits; ++G) {
     std::vector<int64_t> EG = sampleErrorCoeffs();
     if (G < Digits) {
-      Key.B[G].resize(Moduli * Degree);
+      Key.B[G].resize(WideRows * Degree);
+      Key.B32[G].resize(NarrowRows * Degree);
       E[G] = std::move(EG);
     }
     for (size_t J = 0; J < AllModuli; ++J) {
@@ -340,7 +348,10 @@ RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
     smallToNttInto(E[G].data(), J, ENtt.data());
     Prng Stream = Key.Seeds[Flat];
     drawUniform(Stream, J, AGJ.data(), Degree);
-    uint64_t *BOut = Key.B[G].data() + (Flat % Moduli) * Degree;
+    // A narrow row is computed over ENtt in place, then packed.
+    const bool Narrow = isNarrowModulus(Q.value());
+    const size_t Offset = Key.RowOffset[Flat % Moduli];
+    uint64_t *BOut = Narrow ? ENtt.data() : Key.B[G].data() + Offset;
     // The gadget term P * Qt_g * target lives only on the primes of group
     // g: Qt_g vanishes on the other chain primes, P on the special ones.
     bool InGroup = J < ChainLen && J / Alpha == G;
@@ -351,6 +362,9 @@ RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
         V = Q.addMod(V, Q.mulMod(PModChain[J], Target[J][K]));
       BOut[K] = V;
     }
+    if (Narrow)
+      for (size_t K = 0; K < Degree; ++K)
+        Key.B32[G][Offset + K] = static_cast<uint32_t>(BOut[K]);
   });
   return Key;
 }
@@ -419,6 +433,8 @@ uint64_t RnsCkksBackend::keyBytes() const {
   };
   auto CountKey = [&](const KSwitchKey &Key) {
     Count(Key.B);
+    for (const auto &Narrow : Key.B32)
+      Bytes += Narrow.size() * sizeof(uint32_t);
     Bytes += Key.Seeds.size() * sizeof(Prng);
   };
   Count(PkB);
@@ -791,16 +807,15 @@ LimbBuffer RnsCkksBackend::modUp(const uint64_t *Coeff, const uint64_t *Ntt,
   return Base;
 }
 
-/// Whether the key-switch inner products may sum raw 128-bit products and
-/// Barrett-reduce once per element instead of reducing every term. Primes
-/// are <= 61 bits, so a term is < 2^122 and 32 terms leave 2x headroom in
-/// the accumulator. Both folds produce the canonical representative of
-/// the same residue, so the result is bit-identical either way; the lazy
-/// path rides the limb pool's escape hatch so CHET_LIMB_POOL=off selects
-/// the simple reference kernels end to end.
-static bool lazyInnerProduct(size_t Terms) {
-  return Terms <= 32 && LimbPool::instance().enabled();
-}
+/// Most digits a wide modulus's inner product sums as raw 128-bit
+/// products before its one Barrett reduction per element: primes are
+/// <= 61 bits, so a term is < 2^122 and 32 terms leave 2x headroom.
+constexpr size_t kWideFold = 32;
+
+/// Digits a narrow modulus's inner product sums in one 64-bit word
+/// between reductions: operands below 2^30 keep each product below 2^60,
+/// so 16 products plus a reduced carry stay below 2^64.
+constexpr size_t kNarrowFold = 16;
 
 /// Key words regenerated per digit between inner-product passes: small
 /// enough that every digit's block stays in L1 beside the base rows.
@@ -815,7 +830,11 @@ void RnsCkksBackend::keySwitchFromBase(const LimbBuffer &Base, int Level,
   const size_t Digits = Params.digitsAt(Level);
   const size_t Outputs = Components + Alpha;
   const size_t KeyChain = size_t(Key.Level) + 1;
-  const bool Lazy = lazyInnerProduct(Digits);
+  // The lazy folds give the canonical representative of the residue the
+  // reference mulMod/addMod fold gives, so the result is bit-identical
+  // either way; they ride the limb pool's escape hatch, so
+  // CHET_LIMB_POOL=off selects the reference kernels end to end.
+  const bool Pooled = LimbPool::instance().enabled();
   CHET_CHECK(Level <= Key.Level, MissingRotationKey, "key switch at level ",
              Level, " reads a key generated for level ", Key.Level);
   // OutA becomes a rotation's C1 via move, so it stays a std::vector; the
@@ -843,40 +862,73 @@ void RnsCkksBackend::keySwitchFromBase(const LimbBuffer &Base, int Level,
     uint64_t *DstA = Chain ? OutA.data() + J * Degree
                            : TailA.data() + (J - Components) * Degree;
     const uint64_t *Row = Base.data() + J * Digits * Degree;
+    // Every digit's row modulo Q has Q's width: one of the two lists.
+    const bool Narrow = isNarrowModulus(Q.value());
+    const size_t Offset = Key.RowOffset[KeyIndex];
     std::vector<const uint64_t *> KeyB(Digits);
+    std::vector<const uint32_t *> KeyB32(Digits);
     std::vector<Prng> Streams(Digits);
     for (size_t G = 0; G < Digits; ++G) {
-      KeyB[G] = Key.B[G].data() + KeyIndex * Degree;
+      if (Narrow)
+        KeyB32[G] = Key.B32[G].data() + Offset;
+      else
+        KeyB[G] = Key.B[G].data() + Offset;
       Streams[G] = Key.Seeds[G * (KeyChain + Alpha) + KeyIndex];
     }
     LimbBuffer KeyA(Digits * Chunk);
-    for (size_t Lo = 0; Lo < Degree; Lo += Chunk) {
-      for (size_t G = 0; G < Digits; ++G)
-        drawUniform(Streams[G], ModIndex, KeyA.data() + G * Chunk, Chunk);
-      for (size_t K = Lo; K < Lo + Chunk; ++K) {
-        const uint64_t *Src = Row + (Perm ? Perm[K] : K);
-        const uint64_t *SrcA = KeyA.data() + (K - Lo);
-        if (Lazy) {
-          unsigned __int128 AccB = 0, AccA = 0;
-          for (size_t G = 0; G < Digits; ++G) {
-            uint64_t X = Src[G * Degree];
-            AccB += static_cast<unsigned __int128>(X) * KeyB[G][K];
-            AccA += static_cast<unsigned __int128>(X) * SrcA[G * Chunk];
-          }
-          DstB[K] = Q.reduce128(AccB);
-          DstA[K] = Q.reduce128(AccA);
-        } else {
-          uint64_t AccB = 0, AccA = 0;
-          for (size_t G = 0; G < Digits; ++G) {
-            uint64_t X = Src[G * Degree];
-            AccB = Q.addMod(AccB, Q.mulMod(X, KeyB[G][K]));
-            AccA = Q.addMod(AccA, Q.mulMod(X, SrcA[G * Chunk]));
-          }
-          DstB[K] = AccB;
-          DstA[K] = AccA;
-        }
+    // Runs Fold(K, digit-0 base word, digit-0 a word) per element.
+    auto Sweep = [&](auto &&Fold) {
+      for (size_t Lo = 0; Lo < Degree; Lo += Chunk) {
+        for (size_t G = 0; G < Digits; ++G)
+          drawUniform(Streams[G], ModIndex, KeyA.data() + G * Chunk, Chunk);
+        for (size_t K = Lo; K < Lo + Chunk; ++K)
+          Fold(K, Row + (Perm ? Perm[K] : K), KeyA.data() + (K - Lo));
       }
+    };
+    // The reference: one mulMod and addMod per digit, key words widened.
+    auto Reference = [&](const auto &Keys) {
+      Sweep([&](size_t K, const uint64_t *Src, const uint64_t *SrcA) {
+        uint64_t AccB = 0, AccA = 0;
+        for (size_t G = 0; G < Digits; ++G) {
+          uint64_t X = Src[G * Degree];
+          AccB = Q.addMod(AccB, Q.mulMod(X, Keys[G][K]));
+          AccA = Q.addMod(AccA, Q.mulMod(X, SrcA[G * Chunk]));
+        }
+        DstB[K] = AccB;
+        DstA[K] = AccA;
+      });
+    };
+    if (!Narrow) {
+      if (!Pooled || Digits > kWideFold)
+        return Reference(KeyB);
+      Sweep([&](size_t K, const uint64_t *Src, const uint64_t *SrcA) {
+        unsigned __int128 AccB = 0, AccA = 0;
+        for (size_t G = 0; G < Digits; ++G) {
+          uint64_t X = Src[G * Degree];
+          AccB += static_cast<unsigned __int128>(X) * KeyB[G][K];
+          AccA += static_cast<unsigned __int128>(X) * SrcA[G * Chunk];
+        }
+        DstB[K] = Q.reduce128(AccB);
+        DstA[K] = Q.reduce128(AccA);
+      });
+      return;
     }
+    if (!Pooled)
+      return Reference(KeyB32);
+    Sweep([&](size_t K, const uint64_t *Src, const uint64_t *SrcA) {
+      uint64_t AccB = 0, AccA = 0;
+      for (size_t G0 = 0; G0 < Digits; G0 += kNarrowFold) {
+        for (size_t G = G0; G < std::min(Digits, G0 + kNarrowFold); ++G) {
+          uint64_t X = Src[G * Degree];
+          AccB += X * KeyB32[G][K];
+          AccA += X * SrcA[G * Chunk];
+        }
+        AccB = Q.reduce(AccB);
+        AccA = Q.reduce(AccA);
+      }
+      DstB[K] = AccB;
+      DstA[K] = AccA;
+    });
   });
 
   // ModDown: out = (acc - lift(acc mod P)) / P, with the lift of the

@@ -56,6 +56,12 @@
 /// (DESIGN.md section 5m). The relinearization key and the stock
 /// power-of-two keys are top-level keys.
 ///
+/// Narrow key rows. A key row modulo a prime below 2^30 holds 32-bit
+/// words, any other row 64-bit words; the values are the same residues,
+/// so keys and ciphertexts are unchanged. The inner product over such a
+/// modulus sums its products (each below 2^60) in one 64-bit word,
+/// reducing every 16 digits, instead of the 128-bit sum wide moduli need.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHET_CKKS_RNSCKKS_H
@@ -270,8 +276,9 @@ public:
   void resetKeySwitchNttStats();
 
   /// Bytes of evaluation key material held: the public key, and for the
-  /// relinearization key and every Galois key the stored b halves and
-  /// a-half seeds, plus each Galois key's NTT permutation table.
+  /// relinearization key and every Galois key the stored b halves (4
+  /// bytes per word modulo a prime below 2^30, 8 otherwise) and a-half
+  /// seeds, plus each Galois key's NTT permutation table.
   uint64_t keyBytes() const;
 
 private:
@@ -279,14 +286,20 @@ private:
   friend struct RnsCkksKeyProbe;
 
   /// A seeded key-switching key for key switches at levels <= Level.
-  /// B[g], for each of the digitsAt(Level) digits g, holds one N-word NTT
-  /// polynomial per key modulus: chain primes q_0..q_Level, then the
-  /// alpha special primes. The uniform halves a_{g,J} are not stored:
+  /// Each of the digitsAt(Level) digits g holds one N-word NTT polynomial
+  /// of b per key modulus (chain primes q_0..q_Level, then the alpha
+  /// special primes): B[g] holds the rows of the moduli at or above 2^30
+  /// and B32[g] those of the moduli below (isNarrowModulus), each back to
+  /// back in key-modulus order. RowOffset[J] is key modulus J's word
+  /// offset inside its digit's buffer of its width, the same for every
+  /// digit. The uniform halves a_{g,J} are not stored:
   /// Seeds[g * (Level + 1 + alpha) + J] is the keygen stream's state just
   /// before a_{g,J} was drawn, and drawUniform regenerates the block from
   /// it wherever it is read.
   struct KSwitchKey {
     std::vector<std::vector<uint64_t>> B;
+    std::vector<std::vector<uint32_t>> B32;
+    std::vector<size_t> RowOffset;
     std::vector<Prng> Seeds;
     int Level = 0;
   };

@@ -7,6 +7,7 @@
 #include "core/Audit.h"
 
 #include "core/Evaluate.h"
+#include "math/UIntArith.h"
 #include "support/Error.h"
 #include "support/Prng.h"
 
@@ -107,21 +108,31 @@ uint64_t predictedKeyBytes(const CompiledCircuit &Compiled,
       Add(Slots - S, Top);
     }
   if (Compiled.Rns) {
-    // Per key and (digit, modulus) block: the N-word b half and the seed
-    // its a half regenerates from; per Galois key its NTT permutation. A
-    // key at level l keeps digitsAt(l) digits of l + 1 + alpha moduli.
+    // Per key and (digit, modulus) block: the N-word b half (4-byte words
+    // modulo a prime below 2^30, 8-byte otherwise) and the seed its a
+    // half regenerates from; per Galois key its NTT permutation. A key at
+    // level l keeps digitsAt(l) digits of q_0..q_l and the special primes.
     // Without special primes no backend (and so no key) can exist.
     const RnsCkksParams &P = *Compiled.Rns;
     if (P.SpecialPrimes.empty())
       return 0;
-    auto Blocks = [&](int Level) {
-      return P.digitsAt(Level) * (Level + 1 + P.SpecialPrimes.size());
+    auto BlockBytes = [&](uint64_t Q) {
+      return N * (isNarrowModulus(Q) ? sizeof(uint32_t) : sizeof(uint64_t)) +
+             sizeof(Prng);
     };
-    uint64_t AllBlocks = Blocks(Top); // relinearization
+    uint64_t SpecialBytes = 0;
+    for (uint64_t Q : P.SpecialPrimes)
+      SpecialBytes += BlockBytes(Q);
+    auto KeyBytes = [&](int Level) {
+      uint64_t Digit = SpecialBytes;
+      for (int J = 0; J <= Level; ++J)
+        Digit += BlockBytes(P.ChainPrimes[J]);
+      return P.digitsAt(Level) * Digit;
+    };
+    uint64_t Bytes = KeyBytes(Top); // relinearization
     for (const auto &[Step, Level] : Levels)
-      AllBlocks += Blocks(Level);
-    return 2 * P.ChainPrimes.size() * N * sizeof(uint64_t) +
-           AllBlocks * (N * sizeof(uint64_t) + sizeof(Prng)) +
+      Bytes += KeyBytes(Level);
+    return 2 * P.ChainPrimes.size() * N * sizeof(uint64_t) + Bytes +
            Levels.size() * N * sizeof(uint32_t);
   }
   if (Compiled.Big) {

@@ -44,6 +44,7 @@
 #ifndef CHET_RUNTIME_KERNELS_H
 #define CHET_RUNTIME_KERNELS_H
 
+#include "hisa/LevelScale.h"
 #include "runtime/CipherTensor.h"
 #include "runtime/PlaintextCache.h"
 #include "runtime/ScaleConfig.h"
@@ -127,6 +128,37 @@ void parallelReduce(B &Backend, std::optional<typename B::Ct> &Acc,
     }
   }
 }
+
+/// A rotation fan-out of \p Src that serves every amount of 0 (modulo the
+/// slot count) with \p Src itself rather than a copy: one rotLeftMany
+/// over the non-zero amounts, in order, and none when no non-zero amount
+/// is left. The analysis prices zero amounts at nothing either way.
+template <HisaBackend B> class RotationFan {
+public:
+  RotationFan(B &Backend, const typename B::Ct &Src,
+              const std::vector<int> &Steps)
+      : Src(&Src) {
+    std::vector<int> NonZero;
+    for (int Step : Steps) {
+      bool Zero = normalizeRotation(Step, Backend.slotCount()) == 0;
+      Index.push_back(Zero ? -1 : int(NonZero.size()));
+      if (!Zero)
+        NonZero.push_back(Step);
+    }
+    if (!NonZero.empty())
+      Rotated = rotLeftMany(Backend, Src, NonZero);
+  }
+
+  /// The rotation by Steps[I].
+  const typename B::Ct &operator[](size_t I) const {
+    return Index[I] < 0 ? *Src : Rotated[Index[I]];
+  }
+
+private:
+  const typename B::Ct *Src;
+  std::vector<int> Index; ///< Position in Rotated, or -1 for Src.
+  std::vector<typename B::Ct> Rotated;
+};
 
 /// Multiplies every ciphertext by its valid-position mask (scale Pm).
 template <HisaBackend B>
@@ -289,8 +321,7 @@ CipherTensor<B> conv2dHW(B &Backend, const CipherTensor<B> &In,
       }
     if (Taps.empty())
       continue;
-    std::vector<typename B::Ct> Rotated =
-        rotLeftMany(Backend, In.Cts[Ci], Steps);
+    detail::RotationFan<B> Rotated(Backend, In.Cts[Ci], Steps);
     detail::forEachIndex<B>(size_t(Wt.Cout), [&](size_t Co) {
       for (size_t K = 0; K < Taps.size(); ++K) {
         double Weight = Wt.at(int(Co), Ci, Taps[K].Dy, Taps[K].Dx);
@@ -364,7 +395,7 @@ CipherTensor<B> conv2dCHW(B &Backend, const CipherTensor<B> &In,
   };
 
   std::vector<std::vector<double>> Plains(size_t(Block) * OutBlocks);
-  std::vector<std::optional<typename B::Ct>> Diag(Block);
+  std::vector<const typename B::Ct *> Diag(Block);
   for (int Ib = 0; Ib < InBlocks; ++Ib) {
     // All taps rotate the same input block: hoist the Kh*Kw spatial
     // rotations in one fan-out before walking the taps.
@@ -373,8 +404,7 @@ CipherTensor<B> conv2dCHW(B &Backend, const CipherTensor<B> &In,
     for (int Dy = 0; Dy < Wt.Kh; ++Dy)
       for (int Dx = 0; Dx < Wt.Kw; ++Dx)
         SpatialSteps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
-    std::vector<typename B::Ct> Spatials =
-        rotLeftMany(Backend, In.Cts[Ib], SpatialSteps);
+    detail::RotationFan<B> Spatials(Backend, In.Cts[Ib], SpatialSteps);
     for (int Dy = 0; Dy < Wt.Kh; ++Dy) {
       for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
         detail::forEachIndex<B>(Plains.size(), [&](size_t Idx) {
@@ -392,17 +422,16 @@ CipherTensor<B> conv2dCHW(B &Backend, const CipherTensor<B> &In,
         if (NeededD.empty())
           continue;
         const typename B::Ct &Spatial = Spatials[size_t(Dy) * Wt.Kw + Dx];
-        std::fill(Diag.begin(), Diag.end(), std::nullopt);
+        std::fill(Diag.begin(), Diag.end(), nullptr);
         // One hoisted fan-out covers every needed channel diagonal of
-        // this tap (amount 0 degenerates to a copy inside the backend).
+        // this tap; diagonal 0 reads the tap's rotation itself.
         std::vector<int> DiagSteps;
         DiagSteps.reserve(NeededD.size());
         for (size_t D : NeededD)
           DiagSteps.push_back(int(D) * In.L.ChStride);
-        std::vector<typename B::Ct> DiagR =
-            rotLeftMany(Backend, Spatial, DiagSteps);
+        detail::RotationFan<B> DiagR(Backend, Spatial, DiagSteps);
         for (size_t K = 0; K < NeededD.size(); ++K)
-          Diag[NeededD[K]] = std::move(DiagR[K]);
+          Diag[NeededD[K]] = &DiagR[K];
         detail::forEachIndex<B>(size_t(OutBlocks), [&](size_t Ob) {
           for (int D = 0; D < Block; ++D) {
             std::vector<double> &Plain = Plains[size_t(D) * OutBlocks + Ob];
@@ -702,21 +731,21 @@ CipherTensor<B> fullyConnectedBsgs(B &Backend, const CipherTensor<B> &In,
     return kSubWeight | (uint64_t(K) * uint64_t(G) + uint64_t(Step));
   };
 
-  // One hoisted fan-out produces every needed baby rotation (amount 0
-  // is a copy inside the backend).
-  std::vector<std::optional<typename B::Ct>> Baby(G);
+  // One hoisted fan-out produces every needed baby rotation; baby step 0
+  // reads the input itself.
+  std::vector<int> BabySteps;
   {
     std::vector<bool> Used(G, false);
     for (const auto &E : Plains)
       Used[E.first.second] = true;
-    std::vector<int> BabySteps;
     for (int Step = 0; Step < G; ++Step)
       if (Used[Step])
         BabySteps.push_back(Step);
-    std::vector<typename B::Ct> R = rotLeftMany(Backend, In.Cts[0], BabySteps);
-    for (size_t I = 0; I < BabySteps.size(); ++I)
-      Baby[BabySteps[I]] = std::move(R[I]);
   }
+  detail::RotationFan<B> BabyR(Backend, In.Cts[0], BabySteps);
+  std::vector<const typename B::Ct *> Baby(G);
+  for (size_t I = 0; I < BabySteps.size(); ++I)
+    Baby[BabySteps[I]] = &BabyR[I];
   std::optional<typename B::Ct> Acc;
   auto It = Plains.begin();
   while (It != Plains.end()) {

@@ -55,12 +55,16 @@ struct RnsCkksKeyProbe {
     size_t Moduli = size_t(level(B, Step)) + 1 + B.Alpha;
     return key(B, Step).Seeds[G * Moduli + local(B, Step, J)];
   }
-  /// b_{g,J} of \p Step's key.
+  /// b_{g,J} of \p Step's key, widened from its row's stored words.
   static std::vector<uint64_t> storedB(const RnsCkksBackend &B, int Step,
                                        size_t G, size_t J) {
-    const uint64_t *First =
-        key(B, Step).B[G].data() + local(B, Step, J) * B.Degree;
-    return std::vector<uint64_t>(First, First + B.Degree);
+    const auto &K = key(B, Step);
+    size_t Offset = K.RowOffset[local(B, Step, J)];
+    if (isNarrowModulus(B.modAt(J).value()))
+      return std::vector<uint64_t>(K.B32[G].begin() + Offset,
+                                   K.B32[G].begin() + Offset + B.Degree);
+    return std::vector<uint64_t>(K.B[G].begin() + Offset,
+                                 K.B[G].begin() + Offset + B.Degree);
   }
   /// a_{g,J} of \p Step's key, regenerated from its checkpoint.
   static std::vector<uint64_t> expandA(const RnsCkksBackend &B, int Step,
@@ -80,8 +84,10 @@ struct RnsCkksKeyProbe {
       const auto *P = static_cast<const uint8_t *>(Data);
       Bytes.insert(Bytes.end(), P, P + Size);
     };
-    for (const auto &Half : K.B)
-      Append(Half.data(), Half.size() * sizeof(uint64_t));
+    for (const auto &Wide : K.B)
+      Append(Wide.data(), Wide.size() * sizeof(uint64_t));
+    for (const auto &Narrow : K.B32)
+      Append(Narrow.data(), Narrow.size() * sizeof(uint32_t));
     Append(K.Seeds.data(), K.Seeds.size() * sizeof(Prng));
     return Bytes;
   }
@@ -440,6 +446,100 @@ TEST(RnsCkksHybrid, OneSpecialPrimeReproducesTheSinglePrimeBytes) {
   EXPECT_EQ(onePrimePipelineHash(), kRecorded) << "CHET_LIMB_POOL=off";
 }
 
+/// A 60-bit q_0 and six 30-bit scale primes keyed with three 60-bit
+/// special primes: three digits at the top level, the first mixing q_0
+/// with narrow primes. Per level from the top down to 2: mul+relin, a
+/// dedicated-key rotation, a power-of-two-hop rotation and a hoisted batch
+/// (with a key trimmed to level 3 once it applies), then a rescale;
+/// returns the FNV-1a hash of every intermediate ciphertext's bytes.
+uint64_t narrowPipelineHash() {
+  RnsCkksParams P = RnsCkksParams::create(12, 6, 60, 30);
+  P.Security = SecurityLevel::None;
+  P.Seed = 2025;
+  P.SpecialPrimes = RnsCkksParams::specialPrimesFor(P.ChainPrimes, P.LogN,
+                                                    SecurityLevel::None);
+  P.SpecialPrimes.resize(3);
+  RnsCkksBackend B(P);
+  B.generateRotationKeys({3});
+  B.generateRotationKey(7, 3);
+  uint64_t H = 1469598103934665603ULL;
+  auto Mix = [&](const RnsCkksBackend::Ct &C) { H = fnv1a(H, serialize(C)); };
+  Prng Rng(13);
+  std::vector<double> V1(B.slotCount()), V2(B.slotCount());
+  for (auto &X : V1)
+    X = Rng.nextDouble(-1, 1);
+  for (auto &X : V2)
+    X = Rng.nextDouble(-1, 1);
+  double S = std::ldexp(1.0, 30);
+  auto A = B.encrypt(B.encode(V1, S));
+  auto C = B.encrypt(B.encode(V2, S));
+  Mix(A);
+  while (A.Level >= 2) {
+    B.mulAssign(A, C);
+    Mix(A);
+    B.rotLeftAssign(A, 3);
+    Mix(A);
+    B.rotLeftAssign(A, 5);
+    Mix(A);
+    std::vector<int> Amounts = {1, 3, 0, 6};
+    if (A.Level <= 3)
+      Amounts.push_back(7);
+    for (auto &R : B.rotLeftMany(A, Amounts))
+      Mix(R);
+    B.rescaleAssign(A, B.maxRescale(A, uint64_t(1) << 31));
+    Mix(A);
+  }
+  return H;
+}
+
+TEST(RnsCkksHybrid, NarrowChainReproducesTheRecordedBytes) {
+  // Recorded with every key row stored and folded as 64-bit words.
+  constexpr uint64_t kRecorded = 0xd9cd7acd41c31ae9ULL;
+  PoolsGuard Guard;
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    setGlobalThreadCount(Threads);
+    EXPECT_EQ(narrowPipelineHash(), kRecorded) << Threads << " threads";
+  }
+  LimbPool::instance().setEnabled(false);
+  EXPECT_EQ(narrowPipelineHash(), kRecorded) << "CHET_LIMB_POOL=off";
+}
+
+/// q_0 and eighty 30-bit scale primes under one special prime: 81 digits
+/// at the top level and 80 after one rescale. A product of two residues
+/// below a 30-bit prime is below 2^60 (~2^58 on average), so a 64-bit sum
+/// of every digit's product would overflow for most elements. The pooled
+/// kernels must fold them exactly as the reference mulMod/addMod loop
+/// does.
+TEST(RnsCkksHybrid, ManyDigitsMatchTheReferenceFold) {
+  RnsCkksParams P = RnsCkksParams::create(10, 80, 60, 30);
+  P.Security = SecurityLevel::None;
+  P.Seed = 77;
+  P.StockPow2Keys = false;
+  P.SpecialPrimes = {RnsCkksParams::candidateSpecial()};
+  auto Run = [&] {
+    RnsCkksBackend B(P);
+    B.generateRotationKeys({1});
+    std::vector<double> V(B.slotCount());
+    Prng Rng(5);
+    for (auto &X : V)
+      X = Rng.nextDouble(-1, 1);
+    auto A = B.encrypt(B.encode(V, std::ldexp(1.0, 30)));
+    std::vector<ByteBuffer> Out;
+    for (int Round = 0; Round < 2; ++Round) {
+      B.mulAssign(A, A);
+      Out.push_back(serialize(A));
+      for (auto &R : B.rotLeftMany(A, {1, 0}))
+        Out.push_back(serialize(R));
+      B.rescaleAssign(A, B.maxRescale(A, uint64_t(1) << 31));
+    }
+    return Out;
+  };
+  PoolsGuard Guard;
+  const std::vector<ByteBuffer> Ref = Run();
+  LimbPool::instance().setEnabled(false);
+  EXPECT_TRUE(Run() == Ref) << "CHET_LIMB_POOL=off";
+}
+
 /// Seven chain primes (not a multiple of 2 or 3) keyed with the first
 /// \p Alpha special primes.
 RnsCkksParams hybridParams(size_t Alpha) {
@@ -592,6 +692,50 @@ TEST(RnsCkksHybrid, KeyBytesCountDigitsTimesModuli) {
                                          (N * 8 + 32) +
                                 N * 4)
         << "alpha " << Alpha;
+  }
+}
+
+TEST(RnsCkksHybrid, NarrowKeyRowsAreFourBytesAndTrimExactly) {
+  // A 60-bit q_0 and six 30-bit scale primes under 60-bit special primes:
+  // per digit, 1 + alpha rows of 8-byte words and 6 of 4-byte words.
+  for (size_t Alpha : {1u, 3u}) {
+    RnsCkksParams P = RnsCkksParams::create(/*LogN=*/11, /*Levels=*/6, 60, 30);
+    P.Security = SecurityLevel::None;
+    P.StockPow2Keys = false;
+    P.SpecialPrimes = RnsCkksParams::specialPrimesFor(P.ChainPrimes, P.LogN,
+                                                      SecurityLevel::None);
+    P.SpecialPrimes.resize(Alpha);
+    for (uint64_t Q : P.ChainPrimes)
+      ASSERT_EQ(isNarrowModulus(Q), Q != P.ChainPrimes[0]);
+    RnsCkksBackend B(P);
+    B.generateRotationKeys({1, 2});
+    const uint64_t N = 2048, L1 = 7, Beta = (L1 + Alpha - 1) / Alpha;
+    const uint64_t Galois = B.rotationKeyCount(), Keys = 1 + Galois;
+    const uint64_t Wide = N * 8 + 32, Narrow = N * 4 + 32;
+    EXPECT_EQ(B.keyBytes(), 2 * L1 * N * 8 +
+                                Keys * Beta *
+                                    ((1 + Alpha) * Wide + 6 * Narrow) +
+                                Galois * N * 4)
+        << "alpha " << Alpha;
+    // A key trimmed to level 2 keeps ceil(3 / alpha) digits of q_0, q_1,
+    // q_2 and the special primes.
+    const uint64_t Before = B.keyBytes();
+    B.generateRotationKey(7, 2);
+    EXPECT_EQ(B.keyBytes(), Before + (3 + Alpha - 1) / Alpha *
+                                         ((1 + Alpha) * Wide + 2 * Narrow) +
+                                N * 4)
+        << "alpha " << Alpha;
+    // Its rows of either width are the full-level key's.
+    RnsCkksBackend Full(P);
+    Full.generateRotationKeys({1, 2, 7});
+    for (size_t G = 0; G < P.digitsAt(2); ++G)
+      for (size_t J = 0; J < L1 + Alpha; ++J) {
+        if (J > 2 && J < L1)
+          continue;
+        EXPECT_TRUE(RnsCkksKeyProbe::storedB(B, 7, G, J) ==
+                    RnsCkksKeyProbe::storedB(Full, 7, G, J))
+            << "alpha " << Alpha << " digit " << G << " modulus " << J;
+      }
   }
 }
 
