@@ -214,15 +214,30 @@ BigCkksBackend::BigCkksBackend(const BigCkksParams &ParamsIn)
 
 std::vector<BigInt> BigCkksBackend::sampleUniform(int Bits) {
   std::vector<BigInt> Out(Degree);
-  int Words = (Bits + 31) / 32;
-  for (auto &V : Out) {
-    V = BigInt(0);
-    for (int W = 0; W < Words; ++W) {
-      V.shiftLeft(32);
-      V += BigInt(static_cast<int64_t>(Rng.next() & 0xffffffffULL));
-    }
-    V.centerMod2k(Bits);
+  const size_t Words = (size_t(Bits) + 31) / 32;
+  // Every coefficient takes Words draws, so the stream position of each
+  // fixed-length chunk of coefficients is known up front: chunk C is
+  // drawn on its own lane from a copy of Rng advanced C * Chunk * Words
+  // steps, and the values and Rng's final state are a serial draw's.
+  const size_t Chunk = std::min<size_t>(256, Degree);
+  const size_t Chunks = Degree / Chunk;
+  std::vector<Prng> Start(Chunks + 1, Rng);
+  for (size_t C = 1; C <= Chunks; ++C) {
+    Start[C] = Start[C - 1];
+    Start[C].discard(Chunk * Words);
   }
+  parallelFor(0, Chunks, 1, [&](size_t C) {
+    Prng Stream = Start[C];
+    for (size_t K = C * Chunk; K < (C + 1) * Chunk; ++K) {
+      BigInt &V = Out[K];
+      for (size_t W = 0; W < Words; ++W) {
+        V.shiftLeft(32);
+        V += BigInt(static_cast<int64_t>(Stream.next() & 0xffffffffULL));
+      }
+      V.centerMod2k(Bits);
+    }
+  });
+  Rng = Start[Chunks];
   return Out;
 }
 

@@ -26,8 +26,8 @@
 /// therefore stores each half as its centered residue mod 2^(k + logP),
 /// decomposed over the primes the product at level k needs, and serves
 /// every key switch at LogQ <= k with the same bytes as the full key
-/// (DESIGN.md section 5m). Keygen still draws a at full width, so the
-/// RNG stream is unchanged. The relinearization key and the stock
+/// (DESIGN.md section 5m). Keygen draws a at full width, so the RNG
+/// stream is the same at every level. The relinearization key and the stock
 /// power-of-two keys are top-level keys.
 ///
 //===----------------------------------------------------------------------===//
@@ -263,6 +263,10 @@ private:
     int LogQ = 0;
   };
 
+  /// Degree uniform coefficients of \p Bits bits, each from
+  /// ceil(Bits / 32) draws of Rng. Fixed-length chunks are drawn on every
+  /// lane from starts Prng::discard computes; the values and Rng's final
+  /// state are those of one serial draw.
   std::vector<BigInt> sampleUniform(int Bits);
   std::vector<BigInt> sampleTernary();
   std::vector<BigInt> sampleError();

@@ -192,14 +192,14 @@ RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
   for (size_t J = 0; J < Moduli; ++J)
     UniformThreshold.push_back(-modAt(J).value() % modAt(J).value());
 
-  // Secret key.
-  SecretTernary = sampleTernaryCoeffs();
+  // Secret key: ternary coefficients, kept only in NTT form (a Galois
+  // key's target is a permutation of it).
+  std::vector<int64_t> Secret(Degree);
+  for (auto &C : Secret)
+    C = Rng.nextTernary();
   SecretNtt.resize(Moduli);
-  {
-    std::vector<int64_t> Wide(SecretTernary.begin(), SecretTernary.end());
-    parallelFor(0, Moduli, 1,
-                [&](size_t J) { SecretNtt[J] = smallToNtt(Wide, J); });
-  }
+  parallelFor(0, Moduli, 1,
+              [&](size_t J) { SecretNtt[J] = smallToNtt(Secret, J); });
 
   // Public key (b, a) = (-(a s) + e, a) over the chain primes only;
   // fresh ciphertexts never touch the special primes. All Rng draws happen
@@ -207,7 +207,7 @@ RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
   // the key material is identical at every thread count.
   PkB.resize(ChainLen);
   PkA.resize(ChainLen);
-  std::vector<int64_t> E = sampleErrorCoeffs();
+  std::vector<int64_t> E = sampleErrorCoeffs(Rng);
   for (size_t J = 0; J < ChainLen; ++J) {
     PkA[J].resize(Degree);
     drawUniform(Rng, J, PkA[J].data(), Degree);
@@ -244,17 +244,10 @@ RnsCkksBackend::RnsCkksBackend(const RnsCkksParams &ParamsIn)
   }
 }
 
-std::vector<int8_t> RnsCkksBackend::sampleTernaryCoeffs() {
-  std::vector<int8_t> Coeffs(Degree);
-  for (auto &C : Coeffs)
-    C = static_cast<int8_t>(Rng.nextTernary());
-  return Coeffs;
-}
-
-std::vector<int64_t> RnsCkksBackend::sampleErrorCoeffs() {
+std::vector<int64_t> RnsCkksBackend::sampleErrorCoeffs(Prng &Stream) const {
   std::vector<int64_t> Coeffs(Degree);
   for (auto &C : Coeffs)
-    C = Rng.nextCenteredGaussian();
+    C = Stream.nextCenteredGaussian();
   return Coeffs;
 }
 
@@ -316,30 +309,56 @@ RnsCkksBackend::KSwitchKey RnsCkksBackend::makeKSwitchKey(
         Degree);
   Key.B.resize(Digits);
   Key.B32.resize(Digits);
-  // Walk the stream in the order the top-level key consumes it (per digit
-  // g: E_g, then a_{g,0..AllModuli-1}), only checkpointing and skipping
-  // each uniform block, so the kept blocks and the state left for later
-  // encryptions are identical at every level and thread count. Expanding
-  // a_{g,J} and the arithmetic then fan out over the kept (digit,
-  // modulus) pairs.
+  for (size_t G = 0; G < Digits; ++G) {
+    // Left unwritten: the lane that computes a row faults its pages in.
+    Key.B[G].resize(WideRows * Degree);
+    Key.B32[G].resize(NarrowRows * Degree);
+  }
+  // The top-level key consumes the stream as AllDigits runs of pieces:
+  // E_g, then a_{g,0..AllModuli-1}. Each piece is speculated to take
+  // Degree words (one per error coefficient or accepted uniform draw), so
+  // its start is a discard away from the previous one, and one parallel
+  // pass samples or verifies every piece from its start. A rejected word
+  // makes a piece end past the next one's speculated start: that start is
+  // set to the real end and the pass re-runs from there. Without
+  // rejection that is one pass; either way the kept errors and
+  // checkpoints and the state left for later draws are a serial walk's,
+  // at every level and lane count.
+  const size_t PerDigit = 1 + AllModuli;
+  const size_t Pieces = AllDigits * PerDigit;
+  std::vector<Prng> Start(Pieces + 1), End(Pieces);
+  Start[0] = Rng;
   std::vector<std::vector<int64_t>> E(Digits);
-  for (size_t G = 0; G < AllDigits; ++G) {
-    std::vector<int64_t> EG = sampleErrorCoeffs();
-    if (G < Digits) {
-      Key.B[G].resize(WideRows * Degree);
-      Key.B32[G].resize(NarrowRows * Degree);
-      E[G] = std::move(EG);
+  for (size_t First = 0; First < Pieces;) {
+    for (size_t P = First + 1; P <= Pieces; ++P) {
+      Start[P] = Start[P - 1];
+      Start[P].discard(Degree);
     }
-    for (size_t J = 0; J < AllModuli; ++J) {
-      Prng Walk = Rng;
-      if (G < Digits && (J < Chain || J >= ChainLen))
-        Key.Seeds.push_back(Walk);
-      const uint64_t Threshold = UniformThreshold[J];
-      for (size_t K = 0; K < Degree;)
-        K += Walk.next() >= Threshold;
-      Rng = Walk;
+    parallelFor(First, Pieces, 1, [&](size_t P) {
+      Prng Stream = Start[P];
+      const size_t G = P / PerDigit, J = P % PerDigit;
+      if (J == 0) {
+        std::vector<int64_t> EG = sampleErrorCoeffs(Stream);
+        if (G < Digits)
+          E[G] = std::move(EG);
+      } else {
+        const uint64_t Threshold = UniformThreshold[J - 1];
+        for (size_t K = 0; K < Degree;)
+          K += Stream.next() >= Threshold;
+      }
+      End[P] = Stream;
+    });
+    while (First < Pieces && End[First] == Start[First + 1])
+      ++First;
+    if (First < Pieces) {
+      Start[First + 1] = End[First];
+      ++First;
     }
   }
+  Rng = Start[Pieces];
+  for (size_t G = 0; G < Digits; ++G)
+    for (size_t K = 0; K < Moduli; ++K)
+      Key.Seeds.push_back(Start[G * PerDigit + 1 + ModIndex(K)]);
   parallelFor(0, Digits * Moduli, 1, [&](size_t Flat) {
     size_t G = Flat / Moduli;
     size_t J = ModIndex(Flat % Moduli);
@@ -386,22 +405,18 @@ void RnsCkksBackend::generateRotationKey(int Steps, int Level) {
   auto It = GaloisKeys.find(Elt);
   if (It != GaloisKeys.end() && It->second.Key.Level >= Level)
     return;
-  // Target sigma_elt(s) over the primes the key covers.
-  size_t TwoN = 2 * Degree;
-  std::vector<int64_t> Rotated(Degree);
-  for (size_t K = 0; K < Degree; ++K) {
-    size_t Index = (K * Elt) & (TwoN - 1);
-    int64_t V = SecretTernary[K];
-    if (Index >= Degree) {
-      Index -= Degree;
-      V = -V;
-    }
-    Rotated[Index] = V;
-  }
+  // Target sigma_elt(s) over the primes the key covers: in the NTT domain
+  // sigma permutes the evaluation points, so it is a gather of SecretNtt
+  // through the key's own permutation (rotateFromBase applies the same
+  // identity to c0).
+  std::vector<uint32_t> Perm = galoisNttPermutation(LogN, Elt);
   std::vector<std::vector<uint64_t>> Target(size_t(Level) + 1);
-  parallelFor(0, Target.size(), 1,
-              [&](size_t J) { Target[J] = smallToNtt(Rotated, J); });
-  GaloisKey G{makeKSwitchKey(Target, Level), galoisNttPermutation(LogN, Elt)};
+  parallelFor(0, Target.size(), 1, [&](size_t J) {
+    Target[J].resize(Degree);
+    for (size_t K = 0; K < Degree; ++K)
+      Target[J][K] = SecretNtt[J][Perm[K]];
+  });
+  GaloisKey G{makeKSwitchKey(Target, Level), std::move(Perm)};
   if (It != GaloisKeys.end())
     It->second = std::move(G);
   else
@@ -427,14 +442,13 @@ bool RnsCkksBackend::hasRotationKey(int Steps) const {
 
 uint64_t RnsCkksBackend::keyBytes() const {
   uint64_t Bytes = 0;
-  auto Count = [&](const std::vector<std::vector<uint64_t>> &Polys) {
+  auto Count = [&](const auto &Polys) {
     for (const auto &P : Polys)
-      Bytes += P.size() * sizeof(uint64_t);
+      Bytes += P.size() * sizeof(P[0]);
   };
   auto CountKey = [&](const KSwitchKey &Key) {
     Count(Key.B);
-    for (const auto &Narrow : Key.B32)
-      Bytes += Narrow.size() * sizeof(uint32_t);
+    Count(Key.B32);
     Bytes += Key.Seeds.size() * sizeof(Prng);
   };
   Count(PkB);
@@ -503,8 +517,8 @@ RnsCkksBackend::Ct RnsCkksBackend::encrypt(const Pt &P) {
   std::vector<int64_t> U(Degree);
   for (auto &V : U)
     V = Rng.nextTernary();
-  std::vector<int64_t> E0 = sampleErrorCoeffs();
-  std::vector<int64_t> E1 = sampleErrorCoeffs();
+  std::vector<int64_t> E0 = sampleErrorCoeffs(Rng);
+  std::vector<int64_t> E1 = sampleErrorCoeffs(Rng);
 
   // All Rng draws (U, E0, E1) happened above; the per-prime work is pure
   // compute and fans out over the chain.

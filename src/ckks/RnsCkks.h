@@ -51,9 +51,11 @@
 /// 0..beta_l-1 and, per digit, the moduli q_0..q_l plus the special
 /// primes. A Galois key generated for level k stores exactly those
 /// blocks of the full-level key and serves every key switch at levels
-/// <= k; keygen still walks the whole stream (checkpoint-and-skip), so
-/// every kept block, every seed and every later draw is unchanged
-/// (DESIGN.md section 5m). The relinearization key and the stock
+/// <= k. Keygen consumes the stream as the full key would, so every kept
+/// block, every seed and every later draw is unchanged (DESIGN.md
+/// section 5m); it computes where each block starts with
+/// Prng::discard instead of walking the stream, and samples the blocks
+/// on every lane. The relinearization key and the stock
 /// power-of-two keys are top-level keys.
 ///
 /// Narrow key rows. A key row modulo a prime below 2^30 holds 32-bit
@@ -237,7 +239,9 @@ public:
   /// key switches at levels <= Level (the output of CHET's rotation-key
   /// selection, Section 5.4, records that level per step). An existing
   /// key for the same Galois element is kept if it already reaches
-  /// \p Level and regenerated at \p Level otherwise.
+  /// \p Level and regenerated at \p Level otherwise. The key's target
+  /// sigma(s) is the secret's NTT form gathered through the key's own
+  /// permutation, so keygen takes no NTT of it.
   void generateRotationKey(int Steps, int Level);
 
   /// Drops every rotation key, including the default power-of-two set.
@@ -285,6 +289,20 @@ private:
   /// Test-side access to the seeded key material.
   friend struct RnsCkksKeyProbe;
 
+  /// std::allocator that default-initializes: resize leaves the words
+  /// unwritten instead of zero-filling them (constructions with
+  /// arguments fall back to std::construct_at).
+  template <typename T> struct UninitAllocator : std::allocator<T> {
+    using std::allocator<T>::allocator;
+    template <typename U> struct rebind {
+      using other = UninitAllocator<U>;
+    };
+    template <typename U> void construct(U *P) {
+      ::new (static_cast<void *>(P)) U;
+    }
+  };
+  template <typename T> using KeyRows = std::vector<T, UninitAllocator<T>>;
+
   /// A seeded key-switching key for key switches at levels <= Level.
   /// Each of the digitsAt(Level) digits g holds one N-word NTT polynomial
   /// of b per key modulus (chain primes q_0..q_Level, then the alpha
@@ -297,15 +315,15 @@ private:
   /// before a_{g,J} was drawn, and drawUniform regenerates the block from
   /// it wherever it is read.
   struct KSwitchKey {
-    std::vector<std::vector<uint64_t>> B;
-    std::vector<std::vector<uint32_t>> B32;
+    std::vector<KeyRows<uint64_t>> B;
+    std::vector<KeyRows<uint32_t>> B32;
     std::vector<size_t> RowOffset;
     std::vector<Prng> Seeds;
     int Level = 0;
   };
   /// A Galois key with the NTT-domain index permutation realizing
-  /// sigma_Elt, both built at keygen (single-threaded) so rotations read
-  /// them without locking.
+  /// sigma_Elt, both complete before generateRotationKey returns, so
+  /// rotations read them without locking.
   struct GaloisKey {
     KSwitchKey Key;
     std::vector<uint32_t> Perm;
@@ -331,8 +349,8 @@ private:
     return DigitBases[G][Size - 1];
   }
 
-  std::vector<int8_t> sampleTernaryCoeffs();
-  std::vector<int64_t> sampleErrorCoeffs();
+  /// Degree error coefficients drawn from \p Stream.
+  std::vector<int64_t> sampleErrorCoeffs(Prng &Stream) const;
   /// Reduces small signed coefficients modulo modulus \p J and transforms
   /// to NTT form, writing the Degree-word result into \p Out.
   void smallToNttInto(const int64_t *Coeffs, size_t J, uint64_t *Out) const;
@@ -350,7 +368,10 @@ private:
 
   /// Builds a key-switching key for \p Target (NTT form, one polynomial
   /// per chain prime q_0..q_Level) serving levels <= \p Level. Consumes
-  /// the keygen stream exactly as the top-level key would.
+  /// the keygen stream exactly as the top-level key would, but never
+  /// walks it serially: every error and uniform block is sampled on its
+  /// own lane from a start Prng::discard computes, re-run from the real
+  /// start wherever a rejected draw moved it.
   KSwitchKey makeKSwitchKey(const std::vector<std::vector<uint64_t>> &Target,
                             int Level);
 
@@ -414,7 +435,6 @@ private:
   CkksEncoder Encoder;
   Prng Rng;
 
-  std::vector<int8_t> SecretTernary;          ///< s in coefficient form.
   std::vector<std::vector<uint64_t>> SecretNtt; ///< s per modulus, NTT.
   std::vector<std::vector<uint64_t>> PkB, PkA;  ///< per chain prime, NTT.
   KSwitchKey RelinKey;

@@ -34,8 +34,11 @@ public:
 
 private:
   void raw(const void *Data, size_t Len) {
-    const uint8_t *P = static_cast<const uint8_t *>(Data);
-    Bytes.insert(Bytes.end(), P, P + Len);
+    if (Len == 0)
+      return;
+    size_t At = Bytes.size();
+    Bytes.resize(At + Len);
+    std::memcpy(Bytes.data() + At, Data, Len);
   }
   ByteBuffer Bytes;
 };

@@ -6,8 +6,11 @@
 
 #include "support/Prng.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <mutex>
 
 using namespace chet;
 
@@ -23,6 +26,56 @@ void Prng::reseed(uint64_t Seed) {
   uint64_t S = Seed;
   for (uint64_t &Word : State)
     Word = splitmix64(S);
+}
+
+/// A GF(2)-linear map on the 256-bit state: Col[I] is the image of the
+/// state whose only set bit is bit I % 64 of word I / 64.
+struct chet::PrngStepMap {
+  uint64_t Col[256][4];
+
+  void apply(uint64_t (&S)[4]) const {
+    uint64_t Out[4] = {};
+    for (int I = 0; I < 256; ++I) {
+      const uint64_t Mask = -((S[I >> 6] >> (I & 63)) & 1);
+      for (int W = 0; W < 4; ++W)
+        Out[W] ^= Col[I][W] & Mask;
+    }
+    std::memcpy(S, Out, sizeof(Out));
+  }
+};
+
+/// Below 2^kSteppedBits steps, stepping costs less than applying a map.
+static constexpr int kSteppedBits = 10;
+
+const PrngStepMap &Prng::powerMap(int K) {
+  static std::array<PrngStepMap, 64> Maps;
+  static std::array<std::once_flag, 64> Built;
+  // The smallest map steps each basis state; every larger one squares
+  // its predecessor.
+  std::call_once(Built[K], [K] {
+    for (int I = 0; I < 256; ++I) {
+      uint64_t S[4] = {};
+      if (K == kSteppedBits) {
+        S[I >> 6] = uint64_t(1) << (I & 63);
+        for (uint64_t Step = 0; Step < (uint64_t(1) << K); ++Step)
+          step(S);
+      } else {
+        const PrngStepMap &Half = powerMap(K - 1);
+        std::memcpy(S, Half.Col[I], sizeof(S));
+        Half.apply(S);
+      }
+      std::memcpy(Maps[K].Col[I], S, sizeof(S));
+    }
+  });
+  return Maps[K];
+}
+
+void Prng::discard(uint64_t N) {
+  for (uint64_t R = N & ((uint64_t(1) << kSteppedBits) - 1); R != 0; --R)
+    step(State);
+  for (int K = kSteppedBits; K < 64; ++K)
+    if ((N >> K) & 1)
+      powerMap(K).apply(State);
 }
 
 uint64_t Prng::nextBounded(uint64_t Bound) {

@@ -23,6 +23,8 @@
 
 namespace chet {
 
+struct PrngStepMap;
+
 /// xoshiro256** by Blackman & Vigna: 256 bits of state, period 2^256 - 1,
 /// passes BigCrush. Deterministic given a seed.
 class Prng {
@@ -38,15 +40,19 @@ public:
   /// key word.
   uint64_t next() {
     uint64_t Result = rotl(State[1] * 5, 7) * 9;
-    uint64_t T = State[1] << 17;
-    State[2] ^= State[0];
-    State[3] ^= State[1];
-    State[1] ^= State[2];
-    State[0] ^= State[3];
-    State[2] ^= T;
-    State[3] = rotl(State[3], 45);
+    step(State);
     return Result;
   }
+
+  /// Advances the state exactly as \p N calls of next() would. The state
+  /// update is linear over GF(2), so N steps are a product of precomputed
+  /// 256x256 step maps, one per set bit of N at or above 2^10 (built once
+  /// per process on first use); the low bits are stepped. This lets
+  /// callers compute where a later part of the stream starts without
+  /// walking up to it.
+  void discard(uint64_t N);
+
+  friend bool operator==(const Prng &, const Prng &) = default;
 
   /// Returns a uniform value in [0, Bound). \p Bound must be nonzero.
   /// Uses rejection sampling, so the result is exactly uniform.
@@ -75,6 +81,20 @@ private:
   static uint64_t rotl(uint64_t X, int K) {
     return (X << K) | (X >> (64 - K));
   }
+
+  /// One state update of xoshiro256 (the linear engine behind next()).
+  static void step(uint64_t (&S)[4]) {
+    uint64_t T = S[1] << 17;
+    S[2] ^= S[0];
+    S[3] ^= S[1];
+    S[1] ^= S[2];
+    S[0] ^= S[3];
+    S[2] ^= T;
+    S[3] = rotl(S[3], 45);
+  }
+
+  /// The map advancing the state 2^K steps, K >= 10 (see discard).
+  static const PrngStepMap &powerMap(int K);
 
   uint64_t State[4];
 };

@@ -9,7 +9,9 @@
 #include "ckks/Serialization.h"
 #include "hisa/Hisa.h"
 #include "support/Error.h"
+#include "support/LimbPool.h"
 #include "support/Prng.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -283,6 +285,70 @@ TEST(BigCkksTrimmedKeys, MatchTheFullKeyAtOrBelowTheirLevelAndThrowAbove) {
   for (size_t I = 0; I < Steps.size(); ++I)
     EXPECT_TRUE(serialize(Many[I]) == serialize(ManyT[I]))
         << "hoisted amount " << Steps[I];
+}
+
+/// FNV-1a hash of every intermediate ciphertext of one pipeline at logN
+/// 11: keygen with a top-level Galois key (3) and one trimmed to LogQ 120
+/// (5), then encrypt -> mul+relin -> rotate -> rescale by 2^30 while the
+/// modulus allows, the trimmed key's rotation and a hoisted batch joining
+/// once LogQ is at most 120.
+uint64_t bigPipelineHash() {
+  BigCkksParams P;
+  P.LogN = 11;
+  P.LogQ = 150;
+  P.Security = SecurityLevel::None;
+  P.Seed = 2026;
+  P.StockPow2Keys = false;
+  BigCkksBackend B(P);
+  B.generateRotationKeys({3});
+  B.generateRotationKey(5, 120);
+  uint64_t H = 1469598103934665603ULL;
+  auto Mix = [&](const BigCkksBackend::Ct &C) {
+    for (uint8_t Byte : serialize(C)) {
+      H ^= Byte;
+      H *= 1099511628211ULL;
+    }
+  };
+  Prng Rng(17);
+  std::vector<double> V1(B.slotCount()), V2(B.slotCount());
+  for (auto &X : V1)
+    X = Rng.nextDouble(-1, 1);
+  for (auto &X : V2)
+    X = Rng.nextDouble(-1, 1);
+  auto A = B.encrypt(B.encode(V1, kScale));
+  auto C = B.encrypt(B.encode(V2, kScale));
+  Mix(A);
+  Mix(C);
+  while (B.logQOf(A) >= 90) {
+    B.mulAssign(A, C);
+    Mix(A);
+    B.rotLeftAssign(A, 3);
+    Mix(A);
+    if (B.logQOf(A) <= 120) {
+      B.rotLeftAssign(A, 5);
+      Mix(A);
+      for (auto &R : B.rotLeftMany(A, {3, 0, 5}))
+        Mix(R);
+    }
+    B.rescaleAssign(A, uint64_t(1) << 30);
+    Mix(A);
+  }
+  return H;
+}
+
+TEST(BigCkksPipeline, ReproducesTheRecordedBytes) {
+  // Recorded with the uniform halves drawn on one lane, word by word.
+  constexpr uint64_t kRecorded = 0x2e649ec7a6649927ULL;
+  unsigned Threads = globalThreadCount();
+  bool PoolWasEnabled = LimbPool::instance().enabled();
+  for (unsigned Lanes : {1u, 2u, 8u}) {
+    setGlobalThreadCount(Lanes);
+    EXPECT_EQ(bigPipelineHash(), kRecorded) << Lanes << " threads";
+  }
+  setGlobalThreadCount(Threads);
+  LimbPool::instance().setEnabled(false);
+  EXPECT_EQ(bigPipelineHash(), kRecorded) << "CHET_LIMB_POOL=off";
+  LimbPool::instance().setEnabled(PoolWasEnabled);
 }
 
 } // namespace

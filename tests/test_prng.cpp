@@ -10,6 +10,9 @@
 
 #include <cmath>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 using namespace chet;
 
@@ -110,4 +113,44 @@ TEST(Prng, ReseedResetsStream) {
   Rng.reseed(5);
   for (int I = 0; I < 16; ++I)
     EXPECT_EQ(Rng.next(), First[I]);
+}
+
+// First among the discard tests, so its threads race to build the maps.
+TEST(Prng, DiscardIsSafeFromConcurrentThreads) {
+  const uint64_t N = ~0ULL; // every map
+  std::vector<Prng> Out(4, Prng(37));
+  std::vector<std::thread> Threads;
+  for (Prng &P : Out)
+    Threads.emplace_back([&P, N] { P.discard(N); });
+  for (std::thread &T : Threads)
+    T.join();
+  Prng Split(37);
+  Split.discard(N >> 1);
+  Split.discard(N - (N >> 1));
+  for (const Prng &P : Out)
+    EXPECT_TRUE(P == Split);
+}
+
+TEST(Prng, DiscardMatchesStepping) {
+  for (uint64_t N : {0ULL, 1ULL, 63ULL, 64ULL, 12345ULL, 1ULL << 15,
+                     25ULL * 4096 + 7}) {
+    Prng Stepped(29), Jumped(29);
+    for (uint64_t I = 0; I < N; ++I)
+      Stepped.next();
+    Jumped.discard(N);
+    EXPECT_TRUE(Jumped == Stepped) << "n = " << N;
+    EXPECT_EQ(Jumped.next(), Stepped.next()) << "n = " << N;
+  }
+}
+
+TEST(Prng, DiscardsCompose) {
+  const uint64_t Huge = (1ULL << 40) + 3;
+  for (auto [A, B] : {std::pair<uint64_t, uint64_t>{0, 5000},
+                      {1023, 1}, {4096, 12345}, {Huge, 1ULL << 62}}) {
+    Prng Twice(31), Once(31);
+    Twice.discard(A);
+    Twice.discard(B);
+    Once.discard(A + B);
+    EXPECT_TRUE(Twice == Once) << A << " + " << B;
+  }
 }

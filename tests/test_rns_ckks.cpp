@@ -345,9 +345,10 @@ TEST_F(RnsCkksTest, SpecialPrimesMinimizeKeyWordsWithinTheBudget) {
       size_t MaxAlpha = std::max<size_t>(
           1, std::min<size_t>(C.size(), Spare > 0 ? size_t(Spare / 60) : 0));
       EXPECT_LE(Alpha, MaxAlpha);
-      if (Alpha > 1)
+      if (Alpha > 1) {
         EXPECT_LE(P.logQP(), maxLogQForSecurity(LogN,
                                                 SecurityLevel::Classical128));
+      }
       for (size_t A = 1; A <= MaxAlpha; ++A)
         EXPECT_TRUE(KeyWords(C.size(), Alpha) < KeyWords(C.size(), A) ||
                     (KeyWords(C.size(), Alpha) == KeyWords(C.size(), A) &&
@@ -920,7 +921,7 @@ TEST(RnsCkksSeededKeys, KeygenIsIdenticalAcrossThreadsAndLimbPool) {
   };
   setGlobalThreadCount(1);
   const auto Ref = Material();
-  for (unsigned Threads : {2u, 8u}) {
+  for (unsigned Threads : {2u, 3u, 4u, 8u}) {
     setGlobalThreadCount(Threads);
     EXPECT_TRUE(Material() == Ref) << Threads << " threads";
   }
