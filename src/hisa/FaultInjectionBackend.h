@@ -28,8 +28,9 @@
 /// no changes -- the same re-interpretation trick the analysis backends
 /// use (Section 5.1), applied to robustness testing.
 ///
-/// The adapter is also a provenance sink (beginNode), so every injected
-/// fault carries op -> node -> layer attribution: retry logs and
+/// The adapter is a HisaAdapter (hisa/Adapter.h) whose op hook places the
+/// fault points. It is also a provenance sink (beginNode), so every
+/// injected fault carries op -> node -> layer attribution: retry logs and
 /// SessionReports name the failing layer, not a bare op index.
 ///
 //===----------------------------------------------------------------------===//
@@ -37,7 +38,7 @@
 #ifndef CHET_HISA_FAULTINJECTIONBACKEND_H
 #define CHET_HISA_FAULTINJECTIONBACKEND_H
 
-#include "hisa/Hisa.h"
+#include "hisa/Adapter.h"
 #include "support/Error.h"
 #include "support/Prng.h"
 
@@ -118,18 +119,21 @@ struct FaultStats {
 
 /// HISA adapter injecting faults per a FaultPlan. Holds the wrapped
 /// backend by reference; keys and parameters stay with the inner backend.
-template <typename B> class FaultInjectionBackend {
+template <typename B>
+class FaultInjectionBackend
+    : public HisaAdapter<FaultInjectionBackend<B>, B> {
+  using Base = HisaAdapter<FaultInjectionBackend<B>, B>;
+  friend Base;
+
 public:
-  using Ct = typename B::Ct;
-  using Pt = typename B::Pt;
+  using typename Base::Ct;
 
   FaultInjectionBackend(B &InnerIn, const FaultPlan &PlanIn)
-      : Inner(InnerIn), Plan(PlanIn), Rng(PlanIn.Seed) {
+      : Base(InnerIn), Plan(PlanIn), Rng(PlanIn.Seed) {
     std::sort(Plan.CrashAtOps.begin(), Plan.CrashAtOps.end());
   }
 
   const FaultStats &stats() const { return Stats; }
-  B &inner() { return Inner; }
 
   /// Labels every subsequently delivered fault site with an owning scope
   /// (the serving layer uses "tenant:<id>"), so a multi-tenant chaos run
@@ -137,147 +141,52 @@ public:
   void setFaultScope(std::string ScopeIn) { CurScope = std::move(ScopeIn); }
   const std::string &faultScope() const { return CurScope; }
 
-  /// Provenance hook (HisaProvenanceSink): the evaluator tells us which
-  /// tensor-circuit node the following instructions implement, so
-  /// injected faults name the layer they hit.
-  void beginNode(int NodeId, const std::string &Label) {
+private:
+  /// Provenance hook: the evaluator tells us which tensor-circuit node
+  /// the following instructions implement, so injected faults name the
+  /// layer they hit.
+  void onBeginNode(int NodeId, const std::string &Label) {
     CurNode = NodeId;
     CurLabel = Label;
-    if constexpr (HisaProvenanceSink<B>)
-      Inner.beginNode(NodeId, Label);
   }
 
-  /// Forwarded integrity probe, when the inner backend has one (the
-  /// chaos-soak stack puts IntegrityBackend inside this adapter).
-  void verifyCt(const Ct &C) const
-    requires requires(const B &Ib, const Ct &X) { Ib.verifyCt(X); }
-  {
-    Inner.verifyCt(C);
-  }
-
-  size_t slotCount() const { return Inner.slotCount(); }
-
-  Pt encode(const std::vector<double> &Values, double Scale) {
-    return Inner.encode(Values, Scale);
-  }
-
-  std::vector<double> decode(const Pt &P) const { return Inner.decode(P); }
-
-  Ct encrypt(const Pt &P) {
-    Ct C = Inner.encrypt(P);
-    maybeCorrupt(C, "encrypt");
-    return C;
-  }
-
-  Pt decrypt(const Ct &C) const { return Inner.decrypt(C); }
-
-  Ct copy(const Ct &C) const { return Inner.copy(C); }
-
-  void freeCt(Ct &C) { Inner.freeCt(C); }
-
-  void rotLeftAssign(Ct &C, int Steps) {
-    faultPoint("rotLeft");
-    Inner.rotLeftAssign(C, Steps);
-    maybeCorrupt(C, "rotLeft");
-  }
-
-  void rotRightAssign(Ct &C, int Steps) {
-    faultPoint("rotRight");
-    Inner.rotRightAssign(C, Steps);
-    maybeCorrupt(C, "rotRight");
-  }
-
-  /// Rotation fan-out: one crash/transient draw for the shared batch,
-  /// then one corruption draw per produced ciphertext, in step order --
-  /// the site numbering stays deterministic for a fixed (Seed, circuit)
-  /// pair.
-  std::vector<Ct> rotLeftMany(const Ct &C, const std::vector<int> &Steps)
-    requires BackendHasRotLeftMany<B>
-  {
-    faultPoint("rotLeftMany");
-    std::vector<Ct> Out = Inner.rotLeftMany(C, Steps);
-    for (Ct &O : Out)
-      maybeCorrupt(O, "rotLeftMany");
-    return Out;
-  }
-
-  void addAssign(Ct &C, const Ct &Other) {
-    faultPoint("add");
-    Inner.addAssign(C, Other);
-    maybeCorrupt(C, "add");
-  }
-
-  void subAssign(Ct &C, const Ct &Other) {
-    faultPoint("sub");
-    Inner.subAssign(C, Other);
-    maybeCorrupt(C, "sub");
-  }
-
-  void addPlainAssign(Ct &C, const Pt &P) {
-    faultPoint("addPlain");
-    Inner.addPlainAssign(C, P);
-    maybeCorrupt(C, "addPlain");
-  }
-
-  void subPlainAssign(Ct &C, const Pt &P) {
-    faultPoint("subPlain");
-    Inner.subPlainAssign(C, P);
-    maybeCorrupt(C, "subPlain");
-  }
-
-  void addScalarAssign(Ct &C, double X) {
-    faultPoint("addScalar");
-    Inner.addScalarAssign(C, X);
-    maybeCorrupt(C, "addScalar");
-  }
-
-  void subScalarAssign(Ct &C, double X) {
-    faultPoint("subScalar");
-    Inner.subScalarAssign(C, X);
-    maybeCorrupt(C, "subScalar");
-  }
-
-  void mulAssign(Ct &C, const Ct &Other) {
-    faultPoint("mul");
-    Inner.mulAssign(C, Other);
-    maybeCorrupt(C, "mul");
-  }
-
-  void mulPlainAssign(Ct &C, const Pt &P) {
-    faultPoint("mulPlain");
-    Inner.mulPlainAssign(C, P);
-    maybeCorrupt(C, "mulPlain");
-  }
-
-  void mulScalarAssign(Ct &C, double X, uint64_t Scale) {
-    faultPoint("mulScalar");
-    Inner.mulScalarAssign(C, X, Scale);
-    maybeCorrupt(C, "mulScalar");
-  }
-
-  uint64_t maxRescale(const Ct &C, uint64_t UpperBound) const {
-    return Inner.maxRescale(C, UpperBound);
-  }
-
-  void rescaleAssign(Ct &C, uint64_t Divisor) {
-    faultPoint("rescale");
-    if (Plan.DropRescaleRate > 0 && Rng.nextDouble() < Plan.DropRescaleRate) {
-      // The scale stays inflated; the next scale-checked addition raises
-      // ScaleMismatch, turning a silent omission into a typed error.
-      ++Stats.DroppedRescales;
-      recordSite(FaultKind::DroppedRescale, "rescale");
-      return;
+  /// Op hook. Every homomorphic op passes a fault point (crash, then
+  /// transient) before it runs and a corruption draw on its result after;
+  /// encrypt only gets the corruption draw. A rotLeftMany batch takes one
+  /// fault point for the shared batch, then one corruption draw per
+  /// produced ciphertext, in step order, so the site numbering stays
+  /// deterministic for a fixed (Seed, circuit) pair. The other
+  /// instructions pass straight through.
+  template <HisaOp Op, typename F, typename... Args>
+  decltype(auto) onOp(F &&Forward, Args &...Operands) {
+    if constexpr (isHomomorphicOp(Op))
+      faultPoint(Op);
+    if constexpr (Op == HisaOp::Rescale) {
+      if (Plan.DropRescaleRate > 0 &&
+          Rng.nextDouble() < Plan.DropRescaleRate) {
+        // The scale stays inflated; the next scale-checked addition
+        // raises ScaleMismatch, turning a silent omission into a typed
+        // error.
+        ++Stats.DroppedRescales;
+        recordSite(FaultKind::DroppedRescale, Op);
+        return;
+      }
     }
-    Inner.rescaleAssign(C, Divisor);
-    maybeCorrupt(C, "rescale");
+    if constexpr (Op == HisaOp::Encrypt || Op == HisaOp::RotLeftMany) {
+      auto Out = Forward();
+      maybeCorrupt(Out, Op);
+      return Out;
+    } else if constexpr (isHomomorphicOp(Op)) {
+      Forward();
+      maybeCorrupt(firstOperand(Operands...), Op);
+    } else {
+      return Forward();
+    }
   }
 
-  double scaleOf(const Ct &C) const { return Inner.scaleOf(C); }
-
-private:
   /// Crash then transient check, in that order, at the head of every
   /// homomorphic op. Also advances the global op ordinal.
-  void faultPoint(const char *Op) {
+  void faultPoint(HisaOp Op) {
     long Ordinal = Stats.OpsSeen++;
     if (NextCrash < Plan.CrashAtOps.size() &&
         Plan.CrashAtOps[NextCrash] <= Ordinal) {
@@ -286,12 +195,12 @@ private:
       recordSite(FaultKind::CrashAtOp, Op, Ordinal);
       throw SimulatedCrashError(
           formatError("injected crash #", Stats.Crashes, " at op ordinal ",
-                      Ordinal, " in ", Op, siteSuffix()));
+                      Ordinal, " in ", hisaOpName(Op), siteSuffix()));
     }
     maybeTransient(Op, Ordinal);
   }
 
-  void maybeTransient(const char *Op, long Ordinal) {
+  void maybeTransient(HisaOp Op, long Ordinal) {
     if (Plan.TransientRate <= 0 ||
         Stats.TransientFaults >= Plan.MaxTransientFaults)
       return;
@@ -300,11 +209,11 @@ private:
       recordSite(FaultKind::TransientOpFailure, Op, Ordinal);
       throw TransientBackendFaultError(
           formatError("injected transient fault #", Stats.TransientFaults,
-                      " in ", Op, siteSuffix()));
+                      " in ", hisaOpName(Op), siteSuffix()));
     }
   }
 
-  void maybeCorrupt(Ct &C, const char *Op) {
+  void maybeCorrupt(Ct &C, HisaOp Op) {
     if (Plan.BitFlipRate <= 0 || Stats.BitFlips >= Plan.MaxBitFlips ||
         Rng.nextDouble() >= Plan.BitFlipRate)
       return;
@@ -312,6 +221,10 @@ private:
       ++Stats.BitFlips;
       recordSite(FaultKind::BitFlip, Op);
     }
+  }
+  void maybeCorrupt(std::vector<Ct> &Cts, HisaOp Op) {
+    for (Ct &C : Cts)
+      maybeCorrupt(C, Op);
   }
 
   /// Representation-aware corruption, resolved at compile time from the
@@ -354,10 +267,11 @@ private:
     }
   }
 
-  void recordSite(FaultKind Kind, const char *Op, long Ordinal = -1) {
+  void recordSite(FaultKind Kind, HisaOp Op, long Ordinal = -1) {
     if (Stats.Sites.size() >= FaultStats::MaxSites)
       return;
-    Stats.Sites.push_back({Kind, Op, Ordinal, CurNode, CurLabel, CurScope});
+    Stats.Sites.push_back(
+        {Kind, hisaOpName(Op), Ordinal, CurNode, CurLabel, CurScope});
   }
 
   std::string siteSuffix() const {
@@ -369,7 +283,6 @@ private:
     return S;
   }
 
-  B &Inner;
   FaultPlan Plan;
   Prng Rng;
   FaultStats Stats;

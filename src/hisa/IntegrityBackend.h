@@ -22,20 +22,20 @@
 /// (modeling faults between producer and consumer), and the next operand
 /// read detects the mismatch. The checksum is one linear scan over the
 /// payload (FNV-1a over limbs / coefficients / slots), far cheaper than
-/// any NTT-based homomorphic op; VerifyEveryOps in IntegrityConfig thins
-/// verification for latency-sensitive runs (sealing always happens, or
-/// later verification would be meaningless).
+/// any NTT-based homomorphic op, so every ciphertext read is verified.
 ///
-/// Like the other diagnostic adapters, this backend keeps sequential
-/// kernel order (BackendSupportsParallelKernels stays false): its op
-/// counter and provenance cursor are not synchronized.
+/// The adapter is a HisaAdapter (hisa/Adapter.h): its ciphertext-mapping
+/// hook unwraps the checksummed ciphertext and its op hook verifies and
+/// seals. Like the other diagnostic adapters, it keeps sequential kernel
+/// order (BackendSupportsParallelKernels stays false): its counters and
+/// provenance cursor are not synchronized.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHET_HISA_INTEGRITYBACKEND_H
 #define CHET_HISA_INTEGRITYBACKEND_H
 
-#include "hisa/Hisa.h"
+#include "hisa/Adapter.h"
 #include "support/Error.h"
 
 #include <cstdint>
@@ -116,13 +116,6 @@ template <typename InnerCt> struct IntegrityCt {
   uint64_t Sum = 0;
 };
 
-/// Knobs of the integrity layer.
-struct IntegrityConfig {
-  /// Verify one in every N operand reads (1 = every read). Sealing after
-  /// writes is unconditional.
-  int VerifyEveryOps = 1;
-};
-
 /// Counters of the verification work performed.
 struct IntegrityStats {
   long Seals = 0;
@@ -131,162 +124,78 @@ struct IntegrityStats {
 };
 
 /// HISA adapter checksumming every ciphertext. See file comment.
-template <HisaBackend B> class IntegrityBackend {
-public:
-  using Ct = IntegrityCt<typename B::Ct>;
-  using Pt = typename B::Pt;
+template <HisaBackend B>
+class IntegrityBackend
+    : public HisaAdapter<IntegrityBackend<B>, B, IntegrityCt<typename B::Ct>> {
+  using Base =
+      HisaAdapter<IntegrityBackend<B>, B, IntegrityCt<typename B::Ct>>;
+  friend Base;
 
-  explicit IntegrityBackend(B &InnerIn, const IntegrityConfig &CfgIn = {})
-      : Inner(InnerIn), Cfg(CfgIn) {
-    CHET_CHECK(Cfg.VerifyEveryOps >= 1, InvalidArgument,
-               "IntegrityConfig::VerifyEveryOps must be >= 1, got ",
-               Cfg.VerifyEveryOps);
-  }
+public:
+  using typename Base::Ct;
+
+  explicit IntegrityBackend(B &InnerIn) : Base(InnerIn) {}
 
   const IntegrityStats &stats() const { return Stats; }
-  B &inner() { return Inner; }
-
-  /// Provenance hook (HisaProvenanceSink): failures name the layer.
-  void beginNode(int NodeId, const std::string &Label) {
-    CurNode = NodeId;
-    CurLabel = Label;
-    if constexpr (HisaProvenanceSink<B>)
-      Inner.beginNode(NodeId, Label);
-  }
 
   /// Unconditionally verifies \p C's checksum; throws DataCorruptionError
   /// on mismatch. The session layer calls this before checkpointing a
   /// value and at its integrity-check intervals.
   void verifyCt(const Ct &C) const { verify(C, "verifyCt"); }
 
-  size_t slotCount() const { return Inner.slotCount(); }
-
-  Pt encode(const std::vector<double> &Values, double Scale) {
-    return Inner.encode(Values, Scale);
-  }
-  std::vector<double> decode(const Pt &P) const { return Inner.decode(P); }
-
-  Ct encrypt(const Pt &P) { return seal(Inner.encrypt(P)); }
-
-  /// Decrypt always verifies: the last line of defense before results
-  /// leave the backend.
-  Pt decrypt(const Ct &C) const {
-    verify(C, "decrypt");
-    return Inner.decrypt(C.Inner);
-  }
-
-  Ct copy(const Ct &C) const {
-    maybeVerify(C, "copy");
-    return Ct{Inner.copy(C.Inner), C.Sum};
-  }
-
-  void freeCt(Ct &C) {
-    Inner.freeCt(C.Inner);
-    C.Sum = 0;
-  }
-
-  void rotLeftAssign(Ct &C, int Steps) {
-    maybeVerify(C, "rotLeft");
-    Inner.rotLeftAssign(C.Inner, Steps);
-    reseal(C);
-  }
-  void rotRightAssign(Ct &C, int Steps) {
-    maybeVerify(C, "rotRight");
-    Inner.rotRightAssign(C.Inner, Steps);
-    reseal(C);
-  }
-
-  std::vector<Ct> rotLeftMany(const Ct &C, const std::vector<int> &Steps)
-    requires BackendHasRotLeftMany<B>
-  {
-    maybeVerify(C, "rotLeftMany");
-    std::vector<typename B::Ct> Raw = Inner.rotLeftMany(C.Inner, Steps);
-    std::vector<Ct> Out;
-    Out.reserve(Raw.size());
-    for (auto &R : Raw)
-      Out.push_back(seal(std::move(R)));
-    return Out;
-  }
-
-  void addAssign(Ct &C, const Ct &Other) {
-    maybeVerify(C, "add");
-    maybeVerify(Other, "add");
-    Inner.addAssign(C.Inner, Other.Inner);
-    reseal(C);
-  }
-  void subAssign(Ct &C, const Ct &Other) {
-    maybeVerify(C, "sub");
-    maybeVerify(Other, "sub");
-    Inner.subAssign(C.Inner, Other.Inner);
-    reseal(C);
-  }
-  void addPlainAssign(Ct &C, const Pt &P) {
-    maybeVerify(C, "addPlain");
-    Inner.addPlainAssign(C.Inner, P);
-    reseal(C);
-  }
-  void subPlainAssign(Ct &C, const Pt &P) {
-    maybeVerify(C, "subPlain");
-    Inner.subPlainAssign(C.Inner, P);
-    reseal(C);
-  }
-  void addScalarAssign(Ct &C, double X) {
-    maybeVerify(C, "addScalar");
-    Inner.addScalarAssign(C.Inner, X);
-    reseal(C);
-  }
-  void subScalarAssign(Ct &C, double X) {
-    maybeVerify(C, "subScalar");
-    Inner.subScalarAssign(C.Inner, X);
-    reseal(C);
-  }
-  void mulAssign(Ct &C, const Ct &Other) {
-    maybeVerify(C, "mul");
-    maybeVerify(Other, "mul");
-    Inner.mulAssign(C.Inner, Other.Inner);
-    reseal(C);
-  }
-  void mulPlainAssign(Ct &C, const Pt &P) {
-    maybeVerify(C, "mulPlain");
-    Inner.mulPlainAssign(C.Inner, P);
-    reseal(C);
-  }
-  void mulScalarAssign(Ct &C, double X, uint64_t Scale) {
-    maybeVerify(C, "mulScalar");
-    Inner.mulScalarAssign(C.Inner, X, Scale);
-    reseal(C);
-  }
-
-  uint64_t maxRescale(const Ct &C, uint64_t UpperBound) const {
-    return Inner.maxRescale(C.Inner, UpperBound);
-  }
-  void rescaleAssign(Ct &C, uint64_t Divisor) {
-    maybeVerify(C, "rescale");
-    Inner.rescaleAssign(C.Inner, Divisor);
-    reseal(C);
-  }
-
-  double scaleOf(const Ct &C) const { return Inner.scaleOf(C.Inner); }
-
 private:
-  Ct seal(typename B::Ct &&Raw) {
-    ++Stats.Seals;
-    Ct C{std::move(Raw), 0};
-    C.Sum = limbChecksum(C.Inner);
-    return C;
+  /// Provenance hook: failures name the layer.
+  void onBeginNode(int NodeId, const std::string &Label) {
+    CurNode = NodeId;
+    CurLabel = Label;
+  }
+
+  /// Ciphertext-mapping hook: the inner backend computes on the payload.
+  /// A wrapped result starts unsealed; onOp seals it.
+  static typename B::Ct &toInner(Ct &C) { return C.Inner; }
+  static const typename B::Ct &toInner(const Ct &C) { return C.Inner; }
+  static Ct fromInner(typename B::Ct &&Raw) { return Ct{std::move(Raw), 0}; }
+
+  /// Op hook. Every homomorphic op, copy and decrypt verifies each
+  /// ciphertext operand it reads (decrypt is the last line of defense
+  /// before results leave the backend). Every ciphertext an op writes is
+  /// resealed; a copy inherits its source's checksum, and a freed
+  /// ciphertext's checksum is cleared.
+  template <HisaOp Op, typename F, typename... Args>
+  decltype(auto) onOp(F &&Forward, Args &...Operands) {
+    if constexpr (isHomomorphicOp(Op) || Op == HisaOp::Copy ||
+                  Op == HisaOp::Decrypt)
+      (verify(Operands, hisaOpName(Op)), ...);
+    if constexpr (Op == HisaOp::Encrypt || Op == HisaOp::RotLeftMany) {
+      auto Out = Forward();
+      reseal(Out);
+      return Out;
+    } else if constexpr (Op == HisaOp::Copy) {
+      Ct C = Forward();
+      C.Sum = firstOperand(Operands...).Sum;
+      return C;
+    } else if constexpr (Op == HisaOp::FreeCt) {
+      Forward();
+      firstOperand(Operands...).Sum = 0;
+    } else if constexpr (isHomomorphicOp(Op)) {
+      Forward();
+      reseal(firstOperand(Operands...));
+    } else {
+      return Forward();
+    }
   }
 
   void reseal(Ct &C) {
     ++Stats.Seals;
     C.Sum = limbChecksum(C.Inner);
   }
-
-  void maybeVerify(const Ct &C, const char *Op) const {
-    if (++OpCounter % Cfg.VerifyEveryOps != 0)
-      return;
-    verify(C, Op);
+  void reseal(std::vector<Ct> &Cts) {
+    for (Ct &C : Cts)
+      reseal(C);
   }
 
+  /// Verifies a ciphertext operand; other operands need no check.
+  template <typename T> void verify(const T &, const char *) const {}
   void verify(const Ct &C, const char *Op) const {
     ++Stats.Verifications;
     if (limbChecksum(C.Inner) == C.Sum)
@@ -297,10 +206,7 @@ private:
         " '", CurLabel, "'): payload corrupted after production"));
   }
 
-  B &Inner;
-  IntegrityConfig Cfg;
   mutable IntegrityStats Stats;
-  mutable long OpCounter = 0;
   int CurNode = -1;
   std::string CurLabel;
 };

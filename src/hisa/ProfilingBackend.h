@@ -20,12 +20,15 @@
 /// Timing individual ops from concurrent lanes measures per-lane time;
 /// the sum over ops can exceed wall-clock when lanes overlap.
 ///
+/// The adapter is a HisaAdapter (hisa/Adapter.h) whose op hook times
+/// every instruction; the slotCount and scaleOf queries are not timed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHET_HISA_PROFILINGBACKEND_H
 #define CHET_HISA_PROFILINGBACKEND_H
 
-#include "hisa/Hisa.h"
+#include "hisa/Adapter.h"
 #include "support/LimbPool.h"
 #include "support/MemoryGovernor.h"
 
@@ -37,149 +40,21 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
 namespace chet {
 
-namespace detail {
-/// Indices of the profiled HISA instructions.
-enum ProfiledOp : int {
-  PoEncode,
-  PoDecode,
-  PoEncrypt,
-  PoDecrypt,
-  PoCopy,
-  PoFreeCt,
-  PoRotLeft,
-  PoRotRight,
-  PoRotLeftMany,
-  PoAdd,
-  PoSub,
-  PoAddPlain,
-  PoSubPlain,
-  PoAddScalar,
-  PoSubScalar,
-  PoMul,
-  PoMulPlain,
-  PoMulScalar,
-  PoMaxRescale,
-  PoRescale,
-  PoNumOps
-};
-
-inline const char *profiledOpName(int Op) {
-  static const char *Names[PoNumOps] = {
-      "encode",    "decode",    "encrypt",  "decrypt",   "copy",
-      "freeCt",    "rotLeft",   "rotRight", "rotLeftMany", "add",
-      "sub",       "addPlain",  "subPlain", "addScalar", "subScalar",
-      "mul",       "mulPlain",  "mulScalar", "maxRescale", "rescale"};
-  return Names[Op];
-}
-} // namespace detail
-
 /// Forwards every HISA instruction to \p Inner, timing it. See file
 /// comment.
-template <HisaBackend B> class ProfilingBackend {
+template <HisaBackend B>
+class ProfilingBackend : public HisaAdapter<ProfilingBackend<B>, B> {
+  using Base = HisaAdapter<ProfilingBackend<B>, B>;
+  friend Base;
+
 public:
-  using Ct = typename B::Ct;
-  using Pt = typename B::Pt;
-
-  explicit ProfilingBackend(B &Inner) : Inner(Inner) {}
-
-  //===--------------------------------------------------------------===//
-  // HISA instructions: time and forward.
-  //===--------------------------------------------------------------===//
-
-  /// Provenance pass-through: profiling in a diagnostic stack (e.g.
-  /// around a fault injector or integrity checker) must not hide the
-  /// evaluator's node attribution from the inner adapter.
-  void beginNode(int NodeId, const std::string &Label)
-    requires HisaProvenanceSink<B>
-  {
-    Inner.beginNode(NodeId, Label);
-  }
-
-  /// Integrity-probe pass-through (see IntegrityBackend), untimed: the
-  /// session layer's own phase timers account for verification.
-  void verifyCt(const Ct &C) const
-    requires requires(const B &Ib, const Ct &X) { Ib.verifyCt(X); }
-  {
-    Inner.verifyCt(C);
-  }
-
-  size_t slotCount() const { return Inner.slotCount(); }
-
-  Pt encode(const std::vector<double> &Values, double Scale) const {
-    return timed(detail::PoEncode, [&] { return Inner.encode(Values, Scale); });
-  }
-  std::vector<double> decode(const Pt &P) const {
-    return timed(detail::PoDecode, [&] { return Inner.decode(P); });
-  }
-  Ct encrypt(const Pt &P) {
-    return timed(detail::PoEncrypt, [&] { return Inner.encrypt(P); });
-  }
-  Pt decrypt(const Ct &C) {
-    return timed(detail::PoDecrypt, [&] { return Inner.decrypt(C); });
-  }
-  Ct copy(const Ct &C) const {
-    return timed(detail::PoCopy, [&] { return Inner.copy(C); });
-  }
-  void freeCt(Ct &C) const {
-    timed(detail::PoFreeCt, [&] { Inner.freeCt(C); });
-  }
-
-  void rotLeftAssign(Ct &C, int Steps) {
-    timed(detail::PoRotLeft, [&] { Inner.rotLeftAssign(C, Steps); });
-  }
-  void rotRightAssign(Ct &C, int Steps) {
-    timed(detail::PoRotRight, [&] { Inner.rotRightAssign(C, Steps); });
-  }
-  /// Rotation fan-out, forwarded when the inner backend implements the
-  /// instruction (otherwise the free rotLeftMany() falls back to looping
-  /// rotLeft on this adapter, which the rotLeft row then accounts for).
-  std::vector<Ct> rotLeftMany(const Ct &C, const std::vector<int> &Steps)
-    requires BackendHasRotLeftMany<B>
-  {
-    RotManyAmounts.fetch_add(Steps.size(), std::memory_order_relaxed);
-    return timed(detail::PoRotLeftMany,
-                 [&] { return Inner.rotLeftMany(C, Steps); });
-  }
-  void addAssign(Ct &C, const Ct &O) {
-    timed(detail::PoAdd, [&] { Inner.addAssign(C, O); });
-  }
-  void subAssign(Ct &C, const Ct &O) {
-    timed(detail::PoSub, [&] { Inner.subAssign(C, O); });
-  }
-  void addPlainAssign(Ct &C, const Pt &P) {
-    timed(detail::PoAddPlain, [&] { Inner.addPlainAssign(C, P); });
-  }
-  void subPlainAssign(Ct &C, const Pt &P) {
-    timed(detail::PoSubPlain, [&] { Inner.subPlainAssign(C, P); });
-  }
-  void addScalarAssign(Ct &C, double X) {
-    timed(detail::PoAddScalar, [&] { Inner.addScalarAssign(C, X); });
-  }
-  void subScalarAssign(Ct &C, double X) {
-    timed(detail::PoSubScalar, [&] { Inner.subScalarAssign(C, X); });
-  }
-  void mulAssign(Ct &C, const Ct &O) {
-    timed(detail::PoMul, [&] { Inner.mulAssign(C, O); });
-  }
-  void mulPlainAssign(Ct &C, const Pt &P) {
-    timed(detail::PoMulPlain, [&] { Inner.mulPlainAssign(C, P); });
-  }
-  void mulScalarAssign(Ct &C, double X, uint64_t Scale) {
-    timed(detail::PoMulScalar, [&] { Inner.mulScalarAssign(C, X, Scale); });
-  }
-  uint64_t maxRescale(const Ct &C, uint64_t UpperBound) const {
-    return timed(detail::PoMaxRescale,
-                 [&] { return Inner.maxRescale(C, UpperBound); });
-  }
-  void rescaleAssign(Ct &C, uint64_t Divisor) {
-    timed(detail::PoRescale, [&] { Inner.rescaleAssign(C, Divisor); });
-  }
-  double scaleOf(const Ct &C) const { return Inner.scaleOf(C); }
+  explicit ProfilingBackend(B &Inner) : Base(Inner) {}
 
   //===--------------------------------------------------------------===//
   // Reporting.
@@ -201,11 +76,11 @@ public:
   /// time descending.
   std::vector<OpStats> stats() const {
     std::vector<OpStats> Out;
-    for (int Op = 0; Op < detail::PoNumOps; ++Op) {
+    for (int Op = 0; Op < HisaOpCount; ++Op) {
       uint64_t N = Counts[Op].load(std::memory_order_relaxed);
       if (N == 0)
         continue;
-      Out.push_back({detail::profiledOpName(Op), N,
+      Out.push_back({hisaOpName(static_cast<HisaOp>(Op)), N,
                      double(Nanos[Op].load(std::memory_order_relaxed)) *
                          1e-9,
                      OpPoolMisses[Op].load(std::memory_order_relaxed),
@@ -219,13 +94,13 @@ public:
 
   uint64_t totalOps() const {
     uint64_t N = 0;
-    for (int Op = 0; Op < detail::PoNumOps; ++Op)
+    for (int Op = 0; Op < HisaOpCount; ++Op)
       N += Counts[Op].load(std::memory_order_relaxed);
     return N;
   }
 
   void reset() {
-    for (int Op = 0; Op < detail::PoNumOps; ++Op) {
+    for (int Op = 0; Op < HisaOpCount; ++Op) {
       Counts[Op].store(0, std::memory_order_relaxed);
       Nanos[Op].store(0, std::memory_order_relaxed);
       OpPoolMisses[Op].store(0, std::memory_order_relaxed);
@@ -239,7 +114,7 @@ public:
   /// is warm.
   uint64_t poolMisses() const {
     uint64_t N = 0;
-    for (int Op = 0; Op < detail::PoNumOps; ++Op)
+    for (int Op = 0; Op < HisaOpCount; ++Op)
       N += OpPoolMisses[Op].load(std::memory_order_relaxed);
     return N;
   }
@@ -296,8 +171,8 @@ public:
            << " MB freed)\n";
       }
     }
-    uint64_t ManyCalls =
-        Counts[detail::PoRotLeftMany].load(std::memory_order_relaxed);
+    uint64_t ManyCalls = Counts[static_cast<int>(HisaOp::RotLeftMany)].load(
+        std::memory_order_relaxed);
     if (ManyCalls != 0) {
       uint64_t Amounts = RotManyAmounts.load(std::memory_order_relaxed);
       OS << "rotLeftMany fan-out: " << Amounts << " amounts over "
@@ -311,7 +186,7 @@ public:
     if constexpr (requires(const B &Backend) {
                     Backend.keySwitchNttStats();
                   }) {
-      auto S = Inner.keySwitchNttStats();
+      auto S = this->inner().keySwitchNttStats();
       if (S.Rotations != 0) {
         OS << "key-switch NTTs: " << S.ForwardNtts << " forward, "
            << S.InverseNtts << " inverse over " << S.Rotations
@@ -327,24 +202,29 @@ public:
 
   void printReport(std::ostream &OS) const { OS << report(); }
 
-  B &inner() { return Inner; }
-
 private:
-  template <typename F> auto timed(int Op, F &&Fn) const {
+  /// Op hook: times every instruction. A rotLeftMany also counts its
+  /// amounts (the fan-out).
+  template <HisaOp Op, typename F, typename... Args>
+  decltype(auto) onOp(F &&Forward, Args &...Operands) {
+    if constexpr (Op == HisaOp::RotLeftMany) {
+      const std::vector<int> &Steps = std::get<1>(std::tie(Operands...));
+      RotManyAmounts.fetch_add(Steps.size(), std::memory_order_relaxed);
+    }
     auto P0 = LimbPool::instance().stats();
     auto T0 = std::chrono::steady_clock::now();
-    if constexpr (std::is_void_v<decltype(Fn())>) {
-      Fn();
-      record(Op, T0, P0);
+    if constexpr (std::is_void_v<decltype(Forward())>) {
+      Forward();
+      record(static_cast<int>(Op), T0, P0);
     } else {
-      auto R = Fn();
-      record(Op, T0, P0);
+      auto R = Forward();
+      record(static_cast<int>(Op), T0, P0);
       return R;
     }
   }
 
   void record(int Op, std::chrono::steady_clock::time_point T0,
-              const LimbPool::Stats &P0) const {
+              const LimbPool::Stats &P0) {
     auto Dt = std::chrono::steady_clock::now() - T0;
     auto P1 = LimbPool::instance().stats();
     Counts[Op].fetch_add(1, std::memory_order_relaxed);
@@ -360,13 +240,12 @@ private:
                                std::memory_order_relaxed);
   }
 
-  B &Inner;
-  mutable std::atomic<uint64_t> Counts[detail::PoNumOps] = {};
-  mutable std::atomic<uint64_t> Nanos[detail::PoNumOps] = {};
-  mutable std::atomic<uint64_t> OpPoolMisses[detail::PoNumOps] = {};
-  mutable std::atomic<uint64_t> OpAllocBytes[detail::PoNumOps] = {};
+  std::atomic<uint64_t> Counts[HisaOpCount] = {};
+  std::atomic<uint64_t> Nanos[HisaOpCount] = {};
+  std::atomic<uint64_t> OpPoolMisses[HisaOpCount] = {};
+  std::atomic<uint64_t> OpAllocBytes[HisaOpCount] = {};
   /// Total amounts requested across rotLeftMany calls (the fan-out).
-  mutable std::atomic<uint64_t> RotManyAmounts{0};
+  std::atomic<uint64_t> RotManyAmounts{0};
 };
 
 /// Profiling is transparent to threading: counters are atomics, so the

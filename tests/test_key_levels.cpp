@@ -21,7 +21,7 @@
 #include "ckks/Serialization.h"
 #include "core/Compiler.h"
 #include "core/Evaluate.h"
-#include "hisa/ProfilingBackend.h"
+#include "hisa/Adapter.h"
 #include "nn/Networks.h"
 #include "runtime/ReferenceOps.h"
 #include "support/LimbPool.h"
@@ -40,27 +40,15 @@ namespace chet {
 /// normalized rotation step, the highest level a rotation by it ran at.
 /// It keeps the wrapped backend's kernel schedule (parallel trait below),
 /// so it sees the rotations the real run issues.
-template <typename B> class KeyLevelRecorder : public ProfilingBackend<B> {
-  using Base = ProfilingBackend<B>;
+template <typename B>
+class KeyLevelRecorder : public HisaAdapter<KeyLevelRecorder<B>, B> {
+  using Base = HisaAdapter<KeyLevelRecorder<B>, B>;
+  friend Base;
 
 public:
   using Ct = typename B::Ct;
 
-  explicit KeyLevelRecorder(B &Inner) : Base(Inner), Inner(Inner) {}
-
-  void rotLeftAssign(Ct &C, int Steps) {
-    note(C, Steps);
-    Base::rotLeftAssign(C, Steps);
-  }
-  void rotRightAssign(Ct &C, int Steps) {
-    note(C, -Steps);
-    Base::rotRightAssign(C, Steps);
-  }
-  std::vector<Ct> rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
-    for (int S : Steps)
-      note(C, S);
-    return Base::rotLeftMany(C, Steps);
-  }
+  explicit KeyLevelRecorder(B &Inner) : Base(Inner) {}
 
   std::map<int, int> levels() const {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -68,22 +56,35 @@ public:
   }
 
 private:
-  void note(const Ct &C, int Steps) {
-    int S = normalizeRotation(Steps, Inner.slotCount());
-    if (S == 0)
-      return;
+  template <HisaOp Op, typename F, typename... Args>
+  decltype(auto) onOp(F &&Forward, Args &...Operands) {
+    if constexpr (Op == HisaOp::RotLeft || Op == HisaOp::RotRight ||
+                  Op == HisaOp::RotLeftMany)
+      note(Op, Operands...);
+    return Forward();
+  }
+
+  void note(HisaOp Op, const Ct &C, int Steps) {
+    note(Op, C, std::vector<int>{Op == HisaOp::RotRight ? -Steps : Steps});
+  }
+  void note(HisaOp, const Ct &C, const std::vector<int> &Steps) {
+    B &Inner = this->inner();
     int Level;
     if constexpr (std::is_same_v<B, RnsCkksBackend>)
       Level = Inner.levelOf(C);
     else
       Level = Inner.logQOf(C);
     std::lock_guard<std::mutex> Lock(Mu);
-    auto [It, New] = Levels.emplace(S, Level);
-    if (!New)
-      It->second = std::max(It->second, Level);
+    for (int Step : Steps) {
+      int S = normalizeRotation(Step, Inner.slotCount());
+      if (S == 0)
+        continue;
+      auto [It, New] = Levels.emplace(S, Level);
+      if (!New)
+        It->second = std::max(It->second, Level);
+    }
   }
 
-  B &Inner;
   mutable std::mutex Mu;
   std::map<int, int> Levels;
 };
@@ -91,6 +92,11 @@ private:
 template <typename B>
 inline constexpr bool BackendSupportsParallelKernels<KeyLevelRecorder<B>> =
     BackendSupportsParallelKernels<B>;
+
+static_assert(HisaAdapterOf<KeyLevelRecorder<RnsCkksBackend>, RnsCkksBackend>);
+static_assert(HisaAdapterOf<KeyLevelRecorder<BigCkksBackend>, BigCkksBackend>);
+static_assert(BackendSupportsParallelKernels<KeyLevelRecorder<RnsCkksBackend>>);
+static_assert(BackendSupportsParallelKernels<KeyLevelRecorder<BigCkksBackend>>);
 
 } // namespace chet
 

@@ -30,9 +30,11 @@
 #include "core/Compiler.h"
 #include "core/Evaluate.h"
 #include "core/FootprintAnalysis.h"
+#include "hisa/Adapter.h"
 #include "hisa/FaultInjectionBackend.h"
 #include "hisa/IntegrityBackend.h"
 #include "hisa/PlainBackend.h"
+#include "hisa/ProfilingBackend.h"
 #include "nn/Networks.h"
 #include "server/Server.h"
 #include "support/LimbPool.h"
@@ -371,68 +373,81 @@ TEST(FootprintAnalysis, ReportIsDeterministicAndNamesHotspots) {
 /// HISA adapter that throws std::bad_alloc at scheduled homomorphic-op
 /// ordinals (each fires once), modeling a failed allocation inside a
 /// kernel. Everything else forwards to the wrapped backend.
-template <typename B> class BadAllocBackend {
-public:
-  using Ct = typename B::Ct;
-  using Pt = typename B::Pt;
+template <typename B>
+class BadAllocBackend : public HisaAdapter<BadAllocBackend<B>, B> {
+  using Base = HisaAdapter<BadAllocBackend<B>, B>;
+  friend Base;
 
+public:
   BadAllocBackend(B &InnerIn, std::vector<long> FailAtOps)
-      : Inner(InnerIn), FailAt(std::move(FailAtOps)) {}
+      : Base(InnerIn), FailAt(std::move(FailAtOps)) {}
 
   long opsSeen() const { return Ops; }
   long delivered() const { return Delivered; }
 
-  void beginNode(int NodeId, const std::string &Label) {
-    if constexpr (HisaProvenanceSink<B>)
-      Inner.beginNode(NodeId, Label);
-  }
-
-  size_t slotCount() const { return Inner.slotCount(); }
-  Pt encode(const std::vector<double> &V, double S) {
-    return Inner.encode(V, S);
-  }
-  std::vector<double> decode(const Pt &P) const { return Inner.decode(P); }
-  Ct encrypt(const Pt &P) { return Inner.encrypt(P); }
-  Pt decrypt(const Ct &C) const { return Inner.decrypt(C); }
-  Ct copy(const Ct &C) const { return Inner.copy(C); }
-  void freeCt(Ct &C) { Inner.freeCt(C); }
-
-  void rotLeftAssign(Ct &C, int S) { op(); Inner.rotLeftAssign(C, S); }
-  void rotRightAssign(Ct &C, int S) { op(); Inner.rotRightAssign(C, S); }
-  void addAssign(Ct &C, const Ct &O) { op(); Inner.addAssign(C, O); }
-  void subAssign(Ct &C, const Ct &O) { op(); Inner.subAssign(C, O); }
-  void addPlainAssign(Ct &C, const Pt &P) { op(); Inner.addPlainAssign(C, P); }
-  void subPlainAssign(Ct &C, const Pt &P) { op(); Inner.subPlainAssign(C, P); }
-  void addScalarAssign(Ct &C, double X) { op(); Inner.addScalarAssign(C, X); }
-  void subScalarAssign(Ct &C, double X) { op(); Inner.subScalarAssign(C, X); }
-  void mulAssign(Ct &C, const Ct &O) { op(); Inner.mulAssign(C, O); }
-  void mulPlainAssign(Ct &C, const Pt &P) { op(); Inner.mulPlainAssign(C, P); }
-  void mulScalarAssign(Ct &C, double X, uint64_t S) {
-    op();
-    Inner.mulScalarAssign(C, X, S);
-  }
-  uint64_t maxRescale(const Ct &C, uint64_t U) const {
-    return Inner.maxRescale(C, U);
-  }
-  void rescaleAssign(Ct &C, uint64_t D) { op(); Inner.rescaleAssign(C, D); }
-  double scaleOf(const Ct &C) const { return Inner.scaleOf(C); }
-
 private:
-  void op() {
-    long Ordinal = Ops++;
-    for (long &F : FailAt)
-      if (F == Ordinal) {
-        F = -1; // fires once
-        ++Delivered;
-        throw std::bad_alloc();
-      }
+  template <HisaOp Op, typename F, typename... Args>
+  decltype(auto) onOp(F &&Forward, Args &...) {
+    if constexpr (isHomomorphicOp(Op)) {
+      long Ordinal = Ops++;
+      for (long &Fail : FailAt)
+        if (Fail == Ordinal) {
+          Fail = -1; // fires once
+          ++Delivered;
+          throw std::bad_alloc();
+        }
+    }
+    return Forward();
   }
 
-  B &Inner;
   std::vector<long> FailAt;
   long Ops = 0;
   long Delivered = 0;
 };
+
+// Like the fault injector, the adapter keeps sequential kernel order.
+template <typename B>
+constexpr bool BadAllocMirrors =
+    HisaAdapterOf<BadAllocBackend<B>, B> &&
+    BackendHasVerifyCt<BadAllocBackend<B>> == BackendHasVerifyCt<B> &&
+    !BackendSupportsParallelKernels<BadAllocBackend<B>>;
+static_assert(BadAllocMirrors<PlainBackend>);
+static_assert(BadAllocMirrors<RnsCkksBackend>);
+static_assert(BadAllocMirrors<BigCkksBackend>);
+
+TEST(BadAllocContainment, ForwardsThePlainOpSequence) {
+  // With no failure scheduled, the adapter issues the instructions of the
+  // plain run: the fault injector's op ordinals, and the hoisted
+  // rotLeftMany batches rather than Hisa.h's rotLeft loop.
+  TensorCircuit Circ = smallCircuit();
+  ScaleConfig Scales = plainScales();
+  PlainBackend Plain(10);
+  TensorLayout L =
+      circuitInputLayout(Circ, LayoutPolicy::AllHW, Plain.slotCount());
+  Tensor3 Image = randomImageFor(Circ, 9);
+  auto Run = [&](auto &Backend) {
+    evaluateCircuit(Backend, Circ, encryptTensor(Backend, Image, L, Scales),
+                    Scales, LayoutPolicy::AllHW);
+  };
+  auto RotLeftManyCalls = [](const ProfilingBackend<PlainBackend> &Prof) {
+    for (const auto &Row : Prof.stats())
+      if (Row.Name == "rotLeftMany")
+        return Row.Count;
+    return uint64_t(0);
+  };
+
+  ProfilingBackend<PlainBackend> Ref(Plain);
+  Run(Ref);
+  FaultInjectionBackend<PlainBackend> Faulty(Plain, FaultPlan{});
+  Run(Faulty);
+  ProfilingBackend<PlainBackend> Prof(Plain);
+  BadAllocBackend<ProfilingBackend<PlainBackend>> Flaky(Prof, {});
+  Run(Flaky);
+
+  EXPECT_EQ(Flaky.opsSeen(), Faulty.stats().OpsSeen);
+  ASSERT_GT(RotLeftManyCalls(Ref), 0u);
+  EXPECT_EQ(RotLeftManyCalls(Prof), RotLeftManyCalls(Ref));
+}
 
 TEST(BadAllocContainment, SessionRetriesAfterReclaimByteIdentically) {
   GovernorGuard Guard;

@@ -49,6 +49,33 @@ static_assert(SessionCheckpointable<IntegrityBackend<RnsCkksBackend>>);
 static_assert(
     SessionCheckpointable<FaultInjectionBackend<IntegrityBackend<RnsCkksBackend>>>);
 
+// Each diagnostic adapter, over each scheme and over each layer of the
+// profiled chaos stack, forwards the optional instructions of the backend
+// it wraps and keeps its own parallel-kernel choice.
+template <typename B> constexpr bool adaptersMirror() {
+  using Prof = ProfilingBackend<B>;
+  using Integ = IntegrityBackend<B>;
+  using Chaos = FaultInjectionBackend<B>;
+  static_assert(HisaAdapterOf<Prof, B> && HisaAdapterOf<Integ, B> &&
+                HisaAdapterOf<Chaos, B>);
+  static_assert(BackendHasVerifyCt<Prof> == BackendHasVerifyCt<B> &&
+                BackendHasVerifyCt<Integ> &&
+                BackendHasVerifyCt<Chaos> == BackendHasVerifyCt<B>);
+  static_assert(BackendSupportsParallelKernels<Prof> ==
+                    BackendSupportsParallelKernels<B> &&
+                !BackendSupportsParallelKernels<Integ> &&
+                !BackendSupportsParallelKernels<Chaos>);
+  return true;
+}
+static_assert(adaptersMirror<PlainBackend>());
+static_assert(adaptersMirror<RnsCkksBackend>());
+static_assert(adaptersMirror<BigCkksBackend>());
+static_assert(adaptersMirror<ProfilingBackend<RnsCkksBackend>>());
+static_assert(
+    adaptersMirror<IntegrityBackend<ProfilingBackend<RnsCkksBackend>>>());
+static_assert(adaptersMirror<FaultInjectionBackend<
+                  IntegrityBackend<ProfilingBackend<RnsCkksBackend>>>>());
+
 namespace {
 
 struct PoolGuard {
