@@ -45,28 +45,27 @@ double logLogCorrelation(const std::vector<LayoutMeasurement> &Points) {
 }
 
 /// The hoisted key-switch term (CostModel::rotateHoistShared/PerAmount,
-/// charged by the analysis for every rotLeftMany fan-out) lowers each
+/// priced for every rotLeftMany fan-out the analysis counts) lowers each
 /// policy's estimate; layout selection is only safe if it lowers them
-/// *consistently*. Compiles every (network, policy) twice -- hoisted
-/// pricing on and off -- and checks that (a) the hoisted estimate never
-/// exceeds the naive one and (b) sorting the four policies by estimated
-/// cost yields the same order either way.
+/// *consistently*. Compiles every network once and prices each policy's
+/// counts twice -- hoisted and naive -- checking that (a) the hoisted
+/// estimate never exceeds the naive one and (b) sorting the four
+/// policies by estimated cost yields the same order either way.
 bool checkHoistingPreservesRanking(SchemeKind Scheme,
                                    const std::vector<NetChoice> &Nets) {
   bool Ok = true;
   for (const NetChoice &Net : Nets) {
     TensorCircuit Circ = Net.build();
+    CompilerOptions O;
+    O.Scheme = Scheme;
+    O.Security = SecurityLevel::None;
+    O.Scales = benchScales();
+    CompiledCircuit Compiled = compileCircuit(Circ, O);
     std::array<double, 4> Hoisted{}, Naive{};
     for (int P = 0; P < 4; ++P) {
-      CompilerOptions O;
-      O.Scheme = Scheme;
-      O.Security = SecurityLevel::None;
-      O.Scales = benchScales();
-      O.SearchLayouts = false;
-      O.FixedPolicy = kAllLayoutPolicies[P];
-      Hoisted[P] = compileCircuit(Circ, O).EstimatedCost;
-      O.HoistedRotationCost = false;
-      Naive[P] = compileCircuit(Circ, O).EstimatedCost;
+      const PolicyAnalysis &A = Compiled.PerPolicy[P];
+      Hoisted[P] = A.EstimatedCost;
+      Naive[P] = policyCost(A, Scheme, /*Hoisted=*/false);
       if (Hoisted[P] > Naive[P]) {
         std::printf("FAIL: %s %s %s: hoisted estimate %.3e exceeds naive "
                     "%.3e\n",

@@ -27,15 +27,6 @@
 ///                  its zoo PrecisionTarget, so a model regression that
 ///                  blows the bound past the target fails the run (the
 ///                  Debug CI job's cheap full-zoo pass)
-///   --narrow       compile with PrimeChainWidth::Narrow and 2^30
-///                  scales matched to the 30-bit primes, so every
-///                  rescale sheds exactly one narrow prime and the
-///                  packed uint32 kernels carry the whole scale chain
-///                  (RnsCkks only -- BigCkks has no RNS chain to
-///                  narrow). The soundness gate (measured <= static
-///                  bound) is enforced as usual; the zoo
-///                  PrecisionTargets are not, because they are
-///                  calibrated against benchScales
 ///
 /// Shares the other benches' fast-mode configuration (benchScales,
 /// SecurityLevel::None, per-network default reductions; --full for the
@@ -72,27 +63,11 @@ bool stripFlag(int &Argc, char **Argv, const char *Flag) {
   return Found;
 }
 
-/// --narrow: scales matched to the 30-bit prime chain instead of the
-/// benchScales configuration (whose 29-bit scale primes sit in the
-/// narrow NTT domain already, but rescale below the prime width).
-bool NarrowMode = false;
-
 CompilerOptions baseOptions(SchemeKind Scheme) {
   CompilerOptions Options;
   Options.Scheme = Scheme;
   Options.Security = SecurityLevel::None;
-  if (NarrowMode) {
-    // 2^30 scales over ~2^30 primes: each multiply sheds exactly one
-    // prime, so the scale stays pinned near 2^30 (the drift per level
-    // is only the prime's deficit below 2^30). Wider scales (e.g. the
-    // library default 2^40) climb ~10 bits per level over a 30-bit
-    // chain and overflow the encoder on the deeper zoo networks --
-    // the narrow policy is for scales that fit the narrow primes.
-    Options.Scales = ScaleConfig::fromExponents(30, 30, 30, 16);
-    Options.ChainWidth = PrimeChainWidth::Narrow;
-  } else {
-    Options.Scales = benchScales();
-  }
+  Options.Scales = benchScales();
   return Options;
 }
 
@@ -113,14 +88,11 @@ double precisionTargetFor(const std::string &Name) {
 int analyzeOnly(const std::vector<NetChoice> &Nets) {
   printHeader("Static noise analysis over the network zoo (no ciphertexts)");
   int Failures = 0;
-  std::vector<SchemeKind> Schemes = {SchemeKind::RnsCkks};
-  if (!NarrowMode)
-    Schemes.push_back(SchemeKind::BigCkks);
   for (const NetChoice &Net : Nets) {
     TensorCircuit Circ = Net.build();
-    for (SchemeKind Scheme : Schemes) {
+    for (SchemeKind Scheme : {SchemeKind::RnsCkks, SchemeKind::BigCkks}) {
       CompilerOptions Options = baseOptions(Scheme);
-      Options.MaxOutputError = NarrowMode ? 0 : precisionTargetFor(Net.Name);
+      Options.MaxOutputError = precisionTargetFor(Net.Name);
       try {
         Timer T;
         CompiledCircuit Compiled = compileCircuit(Circ, Options);
@@ -202,7 +174,6 @@ int pruningDemo(const std::string &JsonPath) {
 int main(int Argc, char **Argv) {
   bool CheckOnly = stripFlag(Argc, Argv, "--check-only");
   bool AnalyzeOnly = stripFlag(Argc, Argv, "--analyze-only");
-  NarrowMode = stripFlag(Argc, Argv, "--narrow");
   applyThreadsFlag(Argc, Argv); // accepted for interface symmetry
   std::string JsonPath = stripJsonFlag(Argc, Argv);
 
@@ -226,16 +197,13 @@ int main(int Argc, char **Argv) {
   std::string LastLabel;
 
   const unsigned ThreadCounts[] = {1, 2, 8};
-  std::vector<SchemeKind> Schemes = {SchemeKind::RnsCkks};
-  if (!NarrowMode)
-    Schemes.push_back(SchemeKind::BigCkks);
   for (const NetChoice &Net : Nets) {
     TensorCircuit Circ = Net.build();
     Tensor3 Image = randomImageFor(Circ, 7);
     Tensor3 Want = Circ.evaluatePlain(Image);
-    double Target = NarrowMode ? 0 : precisionTargetFor(Net.Name);
+    double Target = precisionTargetFor(Net.Name);
 
-    for (SchemeKind Scheme : Schemes) {
+    for (SchemeKind Scheme : {SchemeKind::RnsCkks, SchemeKind::BigCkks}) {
       CompilerOptions Options = baseOptions(Scheme);
       Options.MaxOutputError = Target;
       Timer CT;
@@ -309,12 +277,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (CheckOnly && !NarrowMode) {
-    // The pruning demo exercises the scale search and the audit budget
-    // prices the post-compile audit pass -- both orthogonal to the chain
-    // width, so they run only in the default configuration (narrow
-    // compiles finish in milliseconds, where the 5% ratio is timer
-    // granularity, not audit cost).
+  if (CheckOnly) {
     Failures += pruningDemo(JsonPath);
     printHeader("Post-compile audit budget");
     std::printf("%s: audit=%.3fs compile=%.3fs (%.1f%%)\n",

@@ -43,12 +43,3 @@ int chet::minLogNForLogQ(int LogQ, SecurityLevel Level) {
       return LogN;
   return -1;
 }
-
-int chet::maxScalePrimesForBudget(int LogN, SecurityLevel Level,
-                                  int FirstBits, int SpecialBits,
-                                  int ScaleBits) {
-  int Budget = maxLogQForSecurity(LogN, Level) - FirstBits - SpecialBits;
-  if (Budget <= 0 || ScaleBits <= 0)
-    return 0;
-  return Budget / ScaleBits;
-}

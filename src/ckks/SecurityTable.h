@@ -40,18 +40,6 @@ int maxLogQForSecurity(int LogN, SecurityLevel Level);
 /// \p LogQ bits, or -1 if no tabulated dimension suffices.
 int minLogNForLogQ(int LogQ, SecurityLevel Level);
 
-/// Chain-sizing entry for a given scale-prime width: the number of
-/// \p ScaleBits-bit scale primes that fit the security budget at ring
-/// dimension 2^\p LogN alongside a \p FirstBits base prime and a
-/// \p SpecialBits key-switching prime (both of which the secret key
-/// touches and therefore count against the budget). Returns 0 when even
-/// the base + special pair overruns. The narrow-chain policy
-/// (PrimeChainWidth::Narrow, 30-bit scale primes) grows this count by
-/// about a third relative to the default 40-bit chain -- the same
-/// budget buys more chain entries along with the packed-NTT speedup.
-int maxScalePrimesForBudget(int LogN, SecurityLevel Level, int FirstBits,
-                            int SpecialBits, int ScaleBits);
-
 } // namespace chet
 
 #endif // CHET_CKKS_SECURITYTABLE_H

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 using namespace chet;
 
@@ -26,22 +27,39 @@ AnalysisBackend::AnalysisBackend(const AnalysisConfig &ConfigIn)
                "RNS analysis needs the candidate modulus list");
 }
 
-void AnalysisBackend::charge(const std::string &Op, double Cost) {
-  ++OpCounts[Op];
-  if (Config.Cost)
-    TotalCost += Cost;
+void AnalysisBackend::count(const Ct &C, CountedOp Op, uint64_t N) {
+  Counts.add(Core.rns() ? C.ConsumedPrimes
+                        : static_cast<int>(std::lround(C.LogConsumed)),
+             Op, N);
 }
 
-double AnalysisBackend::modulusState(const Ct &C) const {
-  if (Config.Scheme == SchemeKind::RnsCkks) {
-    double R = Config.TotalChainPrimes > 0
-                   ? Config.TotalChainPrimes - C.ConsumedPrimes
-                   : 4.0; // phase 1: nominal level count
-    return R < 1 ? 1 : R;
-  }
-  double LogQ = Config.TotalLogQ > 0 ? Config.TotalLogQ - C.LogConsumed
-                                     : 240.0;
-  return LogQ < 30 ? 30 : LogQ;
+void AnalysisBackend::countRotation(const Ct &C, int S) {
+  RotationSteps.insert(S);
+  count(C, CountedOp::Rotate);
+  // Power-of-two fallback keys: one hop per set bit of the shorter
+  // direction (matches RnsCkksBackend::rotLeftAssign).
+  count(C, CountedOp::RotateHop,
+        Config.SelectedRotationKeys ? 1 : rotationHopCount(S, slotCount()));
+}
+
+std::map<std::string, uint64_t> AnalysisBackend::opCounts() const {
+  static constexpr std::pair<const char *, CountedOp> Named[] = {
+      {"encode", CountedOp::Encode},       {"encrypt", CountedOp::Encrypt},
+      {"add", CountedOp::Add},             {"addPlain", CountedOp::AddPlain},
+      {"addScalar", CountedOp::AddScalar}, {"mul", CountedOp::Mul},
+      {"mulPlain", CountedOp::MulPlain},   {"mulScalar", CountedOp::MulScalar},
+      {"rescale", CountedOp::Rescale},
+      {"rotateHoistShared", CountedOp::HoistBatch}};
+  std::map<std::string, uint64_t> Out;
+  for (auto [Name, Op] : Named)
+    if (uint64_t N = Counts.total(Op))
+      Out[Name] = N;
+  uint64_t Rotations = Counts.total(CountedOp::Rotate);
+  if (uint64_t N = Rotations + Counts.total(CountedOp::HoistAmount))
+    Out["rotate"] = N;
+  if (Rotations)
+    Out["rotateHops"] = Counts.total(CountedOp::RotateHop) - Rotations;
+  return Out;
 }
 
 void AnalysisBackend::trackScale(const Ct &C) {
@@ -52,7 +70,7 @@ void AnalysisBackend::trackScale(const Ct &C) {
 
 AnalysisBackend::Pt AnalysisBackend::encode(const std::vector<double> &Values,
                                             double Scale) {
-  charge("encode", Config.Cost ? Config.Cost->encode() : 0);
+  Counts.add(0, CountedOp::Encode);
   return Pt{Scale};
 }
 
@@ -61,57 +79,38 @@ std::vector<double> AnalysisBackend::decode(const Pt &P) const {
 }
 
 AnalysisBackend::Ct AnalysisBackend::encrypt(const Pt &P) {
-  ++OpCounts["encrypt"]; // client-side; not priced into server latency
+  Counts.add(0, CountedOp::Encrypt);
   Ct C;
   C.Scale = P.Scale;
   return C;
 }
 
 void AnalysisBackend::rotLeftAssign(Ct &C, int Steps) {
-  int S = normalizeRotation(Steps, slotCount());
-  if (S == 0)
-    return;
-  RotationSteps.insert(S);
-  // Power-of-two fallback keys: one hop per set bit of the shorter
-  // direction (matches RnsCkksBackend::rotLeftAssign).
-  int Hops =
-      Config.SelectedRotationKeys ? 1 : rotationHopCount(S, slotCount());
-  charge("rotate",
-         Config.Cost ? Hops * Config.Cost->rotate(modulusState(C)) : 0);
-  OpCounts["rotateHops"] += Hops - 1;
+  if (int S = normalizeRotation(Steps, slotCount()))
+    countRotation(C, S);
 }
 
 std::vector<AnalysisBackend::Ct>
 AnalysisBackend::rotLeftMany(const Ct &C, const std::vector<int> &Steps) {
-  std::vector<Ct> Out;
-  Out.reserve(Steps.size());
-  int NonZero = 0;
+  uint64_t NonZero = 0;
   for (int Raw : Steps) {
     int S = normalizeRotation(Raw, slotCount());
-    Out.push_back(C); // rotations change no dataflow facts
     if (S == 0)
       continue;
-    if (!Config.SelectedRotationKeys || !Config.HoistedRotationPricing) {
-      // Per-amount pricing: either no dedicated keys exist (the real
-      // backends fall back to power-of-two hops) or hoisted pricing is
-      // disabled (modelling a runtime with hoisting off). rotLeftAssign
-      // prices and collects exactly as the loop the runtime would run.
-      Ct Tmp = C;
-      rotLeftAssign(Tmp, Raw);
+    if (!Config.SelectedRotationKeys) {
+      // No dedicated keys: the real backends run the power-of-two hop
+      // loop per amount instead of hoisting.
+      countRotation(C, S);
       continue;
     }
     RotationSteps.insert(S);
     ++NonZero;
   }
   if (NonZero > 0) {
-    charge("rotateHoistShared",
-           Config.Cost ? Config.Cost->rotateHoistShared(modulusState(C)) : 0);
-    for (int I = 0; I < NonZero; ++I)
-      charge("rotate", Config.Cost
-                           ? Config.Cost->rotateHoistPerAmount(modulusState(C))
-                           : 0);
+    count(C, CountedOp::HoistBatch);
+    count(C, CountedOp::HoistAmount, NonZero);
   }
-  return Out;
+  return std::vector<Ct>(Steps.size(), C); // rotations change no facts
 }
 
 void AnalysisBackend::addAssign(Ct &C, const Ct &Other) {
@@ -119,45 +118,43 @@ void AnalysisBackend::addAssign(Ct &C, const Ct &Other) {
              "addition scale mismatch detected during analysis: ", C.Scale,
              " vs ", Other.Scale);
   LevelScaleCore::align(C, Other);
-  charge("add", Config.Cost ? Config.Cost->add(modulusState(C)) : 0);
+  count(C, CountedOp::Add);
 }
 
 void AnalysisBackend::addPlainAssign(Ct &C, const Pt &P) {
   CHET_CHECK(scalesMatch(C.Scale, P.Scale), ScaleMismatch,
              "addPlain scale mismatch detected during analysis: ", C.Scale,
              " vs ", P.Scale);
-  charge("addPlain", Config.Cost ? Config.Cost->add(modulusState(C)) : 0);
+  count(C, CountedOp::AddPlain);
 }
 
 void AnalysisBackend::addScalarAssign(Ct &C, double X) {
-  charge("addScalar", Config.Cost ? Config.Cost->add(modulusState(C)) : 0);
+  count(C, CountedOp::AddScalar);
 }
 
 void AnalysisBackend::mulAssign(Ct &C, const Ct &Other) {
   LevelScaleCore::align(C, Other);
   C.Scale *= Other.Scale;
   trackScale(C);
-  charge("mul", Config.Cost ? Config.Cost->mulCipher(modulusState(C)) : 0);
+  count(C, CountedOp::Mul);
 }
 
 void AnalysisBackend::mulPlainAssign(Ct &C, const Pt &P) {
   C.Scale *= P.Scale;
   trackScale(C);
-  charge("mulPlain",
-         Config.Cost ? Config.Cost->mulPlain(modulusState(C)) : 0);
+  count(C, CountedOp::MulPlain);
 }
 
 void AnalysisBackend::mulScalarAssign(Ct &C, double X, uint64_t Scale) {
   C.Scale *= static_cast<double>(Scale);
   trackScale(C);
-  charge("mulScalar",
-         Config.Cost ? Config.Cost->mulScalar(modulusState(C)) : 0);
+  count(C, CountedOp::MulScalar);
 }
 
 void AnalysisBackend::rescaleAssign(Ct &C, uint64_t Divisor) {
   if (Divisor <= 1)
     return;
-  charge("rescale", Config.Cost ? Config.Cost->rescale(modulusState(C)) : 0);
+  count(C, CountedOp::Rescale);
   if (!Core.rns()) {
     assert((Divisor & (Divisor - 1)) == 0 && "CKKS divisor must be 2^k");
     Core.shedBits(C, Divisor);

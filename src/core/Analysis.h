@@ -20,10 +20,12 @@
 ///     history consumed -- a log2 product of divisors for CKKS, an index
 ///     into the global candidate modulus list for RNS-CKKS -- with
 ///     maxRescale faithfully replicating the real backends' semantics;
-///   - cost estimation: a global accumulator adds the cost-model price of
-///     every executed instruction (each instruction executes exactly once
-///     during re-interpretation, so shared subcircuits are not
-///     double-counted);
+///   - cost counting: every executed instruction increments a count
+///     keyed by the instruction and by the modulus its ciphertext has
+///     consumed (each instruction executes exactly once during
+///     re-interpretation, so shared subcircuits are not double-counted);
+///     once the chain is sized, estimateCost (core/CostModel.h) prices
+///     the counts without re-running anything;
 ///   - rotation-key selection: the set of distinct (normalized) rotation
 ///     step counts is collected.
 ///
@@ -40,6 +42,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace chet {
@@ -51,23 +54,11 @@ struct AnalysisConfig {
   /// RNS only: the global pre-generated candidate scaling moduli
   /// (Section 5.2), consumed in order.
   std::vector<uint64_t> ScalePrimeCandidates;
-  /// Cost accounting (phase 2). Null disables cost accumulation.
-  const CostModel *Cost = nullptr;
-  /// Phase 2, RNS: total chain primes selected by phase 1, so the number
-  /// of active components r of each ciphertext is known.
-  int TotalChainPrimes = 0;
-  /// Phase 2, CKKS: total log Q selected by phase 1.
-  double TotalLogQ = 0;
   /// Whether the rotation-key set is assumed generated for exactly the
   /// steps used (true) or only the default power-of-two keys exist
-  /// (false), in which case rotations cost one hop per set bit of the
-  /// shorter direction (Section 2.4).
+  /// (false), in which case a rotation takes one hop per set bit of the
+  /// shorter direction (Section 2.4) and rotLeftMany cannot hoist.
   bool SelectedRotationKeys = true;
-  /// Whether rotLeftMany batches are priced with the hoisted key-switch
-  /// term (one shared decomposition plus a marginal per-amount cost).
-  /// When false every amount is priced as a standalone rotation, which
-  /// models running the runtime with hoisting disabled.
-  bool HoistedRotationPricing = true;
 };
 
 /// HISA implementation over dataflow metadata. Satisfies the same
@@ -96,10 +87,10 @@ public:
   void rotLeftAssign(Ct &C, int Steps);
   void rotRightAssign(Ct &C, int Steps) { rotLeftAssign(C, -Steps); }
   /// Rotation fan-out: collects every normalized amount into the
-  /// rotation-key set exactly once (std::set) and prices the batch as one
-  /// shared hoisted decomposition plus a marginal term per amount when
-  /// dedicated keys are assumed; under power-of-two fallback keys the
-  /// batch is priced as the per-amount hop loop the real backends run.
+  /// rotation-key set exactly once (std::set) and counts the batch as one
+  /// hoisted batch plus its non-zero amounts when dedicated keys are
+  /// assumed; under power-of-two fallback keys it counts the per-amount
+  /// hop loop the real backends run.
   std::vector<Ct> rotLeftMany(const Ct &C, const std::vector<int> &Steps);
 
   void addAssign(Ct &C, const Ct &Other);
@@ -131,17 +122,23 @@ public:
   double maxLogScale() const { return MaxLogScale; }
   /// Distinct normalized rotation steps used (Section 5.4).
   const std::set<int> &rotationSteps() const { return RotationSteps; }
-  /// Estimated execution cost (only meaningful with a cost model).
-  double totalCost() const { return TotalCost; }
-  /// Executed-instruction histogram, keyed by instruction name.
-  const std::map<std::string, uint64_t> &opCounts() const {
-    return OpCounts;
-  }
+  /// Executed-instruction counts by consumed modulus, for estimateCost.
+  const LevelOpCounts &counts() const { return Counts; }
+  /// Move the counts and the rotation steps out; the backend's results
+  /// are spent afterwards.
+  LevelOpCounts takeCounts() { return std::move(Counts); }
+  std::set<int> takeRotationSteps() { return std::move(RotationSteps); }
+  /// Executed-instruction histogram, keyed by instruction name: every
+  /// rotation amount (standalone or hoisted) counts under "rotate", the
+  /// extra power-of-two hops under "rotateHops", and hoisted batches
+  /// under "rotateHoistShared".
+  std::map<std::string, uint64_t> opCounts() const;
 
 private:
-  void charge(const std::string &Op, double Cost);
-  /// r (RNS) or remaining logQ (CKKS) of a ciphertext, for cost pricing.
-  double modulusState(const Ct &C) const;
+  /// Counts \p N executions of \p Op on ciphertext \p C.
+  void count(const Ct &C, CountedOp Op, uint64_t N = 1);
+  /// Counts a standalone rotation by the normalized non-zero step \p S.
+  void countRotation(const Ct &C, int S);
   void trackScale(const Ct &C);
 
   AnalysisConfig Config;
@@ -151,8 +148,7 @@ private:
   double MaxLogConsumed = 0;
   double MaxLogScale = 0;
   std::set<int> RotationSteps;
-  double TotalCost = 0;
-  std::map<std::string, uint64_t> OpCounts;
+  LevelOpCounts Counts;
 };
 
 /// The analysis interpreter tracks scales and levels only; its encode()

@@ -320,18 +320,18 @@ AuditReport chet::auditCircuit(const TensorCircuit &Circ,
 
   R.RotationKeys = Compiled.RotationKeys;
   for (RotationKeySpec &K : R.RotationKeys) {
-    auto It = Backend.keyLevels().find(K.Step);
-    if (It == Backend.keyLevels().end())
+    std::optional<int> Switched = Backend.keyLevel(K.Step);
+    if (!Switched)
       continue;
-    if (K.Level < It->second)
+    if (K.Level < *Switched)
       R.Verification.Diagnostics.push_back(
           {Severity::Error, ErrorCode::MissingRotationKey, "", -1,
            "rotation keys",
            formatError("the Galois key for rotation by ", K.Step,
                        " is generated for level ", K.Level,
                        " but a rotation switches it at level ",
-                       It->second)});
-    K.Level = std::min(K.Level, It->second);
+                       *Switched)});
+    K.Level = std::min(K.Level, *Switched);
   }
   F.KeyBytes = predictedKeyBytes(Compiled, R.RotationKeys);
   finishVerification(Circ, Compiled, Backend, R.Verification);

@@ -13,74 +13,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 using namespace chet;
 
-bool chet::narrowChainRequested(PrimeChainWidth Width) {
-  if (Width != PrimeChainWidth::Auto)
-    return Width == PrimeChainWidth::Narrow;
-  static const bool EnvNarrow = [] {
-    const char *Env = std::getenv("CHET_NARROW_PRIMES");
-    return Env && (Env[0] == '1' || Env[0] == 't' || Env[0] == 'T' ||
-                   ((Env[0] == 'o' || Env[0] == 'O') &&
-                    (Env[1] == 'n' || Env[1] == 'N')));
-  }();
-  return EnvNarrow;
+double chet::policyCost(const PolicyAnalysis &P, SchemeKind Scheme,
+                        bool Hoisted) {
+  bool Big = Scheme == SchemeKind::BigCkks;
+  CostModel Model = CostModel::create(Scheme, P.LogN, Big ? P.LogQ : 0);
+  return estimateCost(P.Counts, Model, Big ? P.LogQ : P.ChainPrimes, Hoisted);
 }
-
-namespace {
-
-struct PolicyRun {
-  PolicyAnalysis Info;
-  detail::PolicySizing Sizing;
-};
-
-/// Runs the modulus analysis (phase 1, shared with validateCircuit) and
-/// the cost analysis (phase 2) for one layout policy.
-PolicyRun analyzePolicy(const TensorCircuit &Circ,
-                        const CompilerOptions &Options, LayoutPolicy Policy,
-                        const std::vector<uint64_t> &ScaleCandidates) {
-  PolicyRun Run;
-  Run.Sizing = detail::sizePolicy(Circ, Options, Policy, ScaleCandidates);
-  const detail::PolicySizing &S = Run.Sizing;
-  Run.Info.Policy = Policy;
-  Run.Info.LogN = S.LogN;
-  Run.Info.LogQ = S.LogQ;
-  Run.Info.LogQP = S.LogQP;
-  if (S.Violation) {
-    Run.Info.EstimatedCost = std::numeric_limits<double>::infinity();
-    return Run;
-  }
-
-  // Phase 2: cost + rotation-set analysis at the chosen dimension.
-  CostModel Model = CostModel::create(
-      Options.Scheme, S.LogN,
-      Options.Scheme == SchemeKind::BigCkks ? S.LogQ : 0);
-  AnalysisConfig C2;
-  C2.Scheme = Options.Scheme;
-  C2.LogN = S.LogN;
-  C2.ScalePrimeCandidates = ScaleCandidates;
-  C2.Cost = &Model;
-  C2.TotalChainPrimes = S.ChainPrimes;
-  C2.TotalLogQ = S.LogQ;
-  C2.SelectedRotationKeys = Options.SelectRotationKeys;
-  C2.HoistedRotationPricing = Options.HoistedRotationCost;
-  AnalysisBackend B2(C2);
-  const OpNode &In = Circ.ops().front();
-  Tensor3 Dummy(In.C, In.H, In.W);
-  TensorLayout L = circuitInputLayout(Circ, Policy, B2.slotCount());
-  auto Enc = encryptTensor(B2, Dummy, L, Options.Scales);
-  (void)evaluateCircuit(B2, Circ, Enc, Options.Scales, Policy);
-
-  Run.Info.ChainPrimes = S.ChainPrimes;
-  Run.Info.EstimatedCost = B2.totalCost();
-  Run.Info.RotationSteps = B2.rotationSteps();
-  return Run;
-}
-
-} // namespace
 
 CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
                                      const CompilerOptions &Options) {
@@ -93,21 +35,31 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
   Result.Scales = Options.Scales;
   Result.PadPhys = Circ.padPhysNeeded();
 
-  // Phase 1 reports each infeasible policy's violation, so an infeasible
-  // circuit's error lists every one of them without a second analysis.
+  // One analysis run per fixpoint iteration sizes each policy, and its
+  // counts are priced afterwards. The sizing reports each infeasible
+  // policy's violation, so an infeasible circuit's error lists every one
+  // of them without a second analysis.
   ValidationReport Validation;
-  std::optional<PolicyRun> Best;
+  std::optional<size_t> Best; // index into Result.PerPolicy
+  int BestConsumed = 0, BestExtra = 0;
   for (LayoutPolicy Policy : detail::candidatePolicies(Options)) {
     ++Validation.PoliciesChecked;
-    PolicyRun Run = analyzePolicy(Circ, Options, Policy, ScaleCandidates);
-    Result.PerPolicy.push_back(Run.Info);
-    if (Run.Sizing.Violation) {
-      Validation.Diagnostics.push_back(*Run.Sizing.Violation);
-      continue;
+    detail::PolicySizing Run =
+        detail::sizePolicy(Circ, Options, Policy, ScaleCandidates);
+    if (Run.Violation) {
+      Run.Info.EstimatedCost = std::numeric_limits<double>::infinity();
+      Validation.Diagnostics.push_back(std::move(*Run.Violation));
+    } else {
+      ++Validation.FeasiblePolicies;
+      Run.Info.EstimatedCost = policyCost(Run.Info, Options.Scheme);
+      if (!Best ||
+          Run.Info.EstimatedCost < Result.PerPolicy[*Best].EstimatedCost) {
+        Best = Result.PerPolicy.size();
+        BestConsumed = Run.ConsumedPrimes;
+        BestExtra = Run.ExtraPrimes;
+      }
     }
-    ++Validation.FeasiblePolicies;
-    if (!Best || Run.Info.EstimatedCost < Best->Info.EstimatedCost)
-      Best = std::move(Run);
+    Result.PerPolicy.push_back(std::move(Run.Info));
   }
   if (!Best)
     throw InfeasibleCircuitError(formatError(
@@ -115,10 +67,11 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
         "requested security level; ",
         Validation.str()));
 
-  Result.Policy = Best->Info.Policy;
-  Result.LogN = Best->Info.LogN;
-  Result.LogQ = Best->Info.LogQ;
-  Result.EstimatedCost = Best->Info.EstimatedCost;
+  const PolicyAnalysis &Chosen = Result.PerPolicy[*Best];
+  Result.Policy = Chosen.Policy;
+  Result.LogN = Chosen.LogN;
+  Result.LogQ = Chosen.LogQ;
+  Result.EstimatedCost = Chosen.EstimatedCost;
 
   if (Options.Scheme == SchemeKind::RnsCkks) {
     RnsCkksParams P;
@@ -128,10 +81,9 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
     // chain's tail, so it consumes candidates in exactly the order the
     // analysis did.
     P.ChainPrimes.push_back(FirstPrime);
-    const detail::PolicySizing &S = Best->Sizing;
-    for (int I = 0; I < S.ExtraPrimes; ++I)
-      P.ChainPrimes.push_back(ScaleCandidates[S.ConsumedPrimes + I]);
-    for (int I = S.ConsumedPrimes - 1; I >= 0; --I)
+    for (int I = 0; I < BestExtra; ++I)
+      P.ChainPrimes.push_back(ScaleCandidates[BestConsumed + I]);
+    for (int I = BestConsumed - 1; I >= 0; --I)
       P.ChainPrimes.push_back(ScaleCandidates[I]);
     // The key-switch digit width fills the budget the chain leaves over;
     // it feeds back into no sizing or layout decision.
@@ -153,7 +105,7 @@ CompiledCircuit chet::compileCircuit(const TensorCircuit &Circ,
   // the highest level the circuit switches it at.
   if (Options.SelectRotationKeys) {
     int Top = Result.Rns ? Result.Rns->levels() : Result.Big->LogQ;
-    for (int Step : Best->Info.RotationSteps)
+    for (int Step : Chosen.RotationSteps)
       Result.RotationKeys.push_back({Step, Top});
   }
 

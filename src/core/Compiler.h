@@ -41,21 +41,6 @@
 
 namespace chet {
 
-/// Scale-prime width policy for the RNS modulus chain. Narrow caps the
-/// scale primes at kNarrowPrimeBits (30) bits, putting every rescale
-/// prime inside the NTT's packed 32-bit fast path -- double the limbs
-/// per cache line and SIMD-friendly 32x32 Shoup butterflies (DESIGN.md
-/// section 5i). Wide keeps the classic chain sized purely by the scale
-/// config; it is the byte-identity reference. Auto defers to the
-/// CHET_NARROW_PRIMES environment variable ("1"/"on" selects Narrow).
-/// The base and special primes stay at FirstPrimeBits under every
-/// policy: the first prime must hold the output's scale plus precision
-/// headroom, which a 30-bit word cannot.
-enum class PrimeChainWidth { Auto, Wide, Narrow };
-
-/// Resolves \p Width against CHET_NARROW_PRIMES (read once per process).
-bool narrowChainRequested(PrimeChainWidth Width);
-
 /// User-facing compilation options (the "schema" side inputs of Fig. 2).
 struct CompilerOptions {
   SchemeKind Scheme = SchemeKind::RnsCkks;
@@ -64,20 +49,12 @@ struct CompilerOptions {
   ScaleConfig Scales;
   /// Bit size of the base prime q_0 and the special prime.
   int FirstPrimeBits = 60;
-  /// Scale-prime width for the RNS chain (RnsCkks only; BigCkks manages
-  /// its own single large modulus).
-  PrimeChainWidth ChainWidth = PrimeChainWidth::Auto;
   /// Headroom reserved above the output's scale so the result decrypts to
   /// the desired precision (Section 5.2's "output precision").
   int OutputPrecisionBits = 20;
   /// Generate rotation keys for exactly the steps the circuit uses
   /// (Section 5.4) instead of relying on the power-of-two default.
   bool SelectRotationKeys = true;
-  /// Price rotation fan-outs (rotLeftMany) with the hoisted key-switch
-  /// term. Turn off to estimate the cost of running with hoisting
-  /// disabled (bench_fig6 uses this to check the layout ranking is
-  /// insensitive to the hoisting term).
-  bool HoistedRotationCost = true;
   /// Search all four layout policies; when false, FixedPolicy is used.
   bool SearchLayouts = true;
   LayoutPolicy FixedPolicy = LayoutPolicy::AllHW;
@@ -102,9 +79,18 @@ struct PolicyAnalysis {
   double LogQ = 0;
   double LogQP = 0;
   int ChainPrimes = 0; ///< RNS only.
+  /// policyCost(*this, Scheme); infinite for an infeasible policy.
   double EstimatedCost = 0;
   std::set<int> RotationSteps;
+  /// The analysis run's instruction counts (empty when infeasible).
+  LevelOpCounts Counts;
 };
+
+/// Prices \p P's counts with \p Scheme's cost model at the policy's ring
+/// dimension and sized chain. \p Hoisted false prices every hoisted
+/// rotation amount as a standalone rotation (estimateCost).
+double policyCost(const PolicyAnalysis &P, SchemeKind Scheme,
+                  bool Hoisted = true);
 
 /// One finding of the static verifier, with full provenance: the HISA
 /// instruction that tripped the check, the tensor-circuit node whose

@@ -134,6 +134,33 @@ double CostModel::encode() const {
   return (Scheme == SchemeKind::RnsCkks ? RnsEncode : BigEncode) * N;
 }
 
+double chet::estimateCost(const LevelOpCounts &Counts, const CostModel &Model,
+                          double TopModulus, bool Hoisted) {
+  const bool Rns = Model.scheme() == SchemeKind::RnsCkks;
+  double Total = 0;
+  for (const auto &[Level, Row] : Counts.Rows) {
+    auto N = [&](CountedOp Op) {
+      return static_cast<double>(Row[static_cast<size_t>(Op)]);
+    };
+    double M = std::max(TopModulus - Level, Rns ? 1.0 : 30.0);
+    Total += N(CountedOp::Encode) * Model.encode() +
+             (N(CountedOp::Add) + N(CountedOp::AddPlain) +
+              N(CountedOp::AddScalar)) *
+                 Model.add(M) +
+             N(CountedOp::Mul) * Model.mulCipher(M) +
+             N(CountedOp::MulPlain) * Model.mulPlain(M) +
+             N(CountedOp::MulScalar) * Model.mulScalar(M) +
+             N(CountedOp::Rescale) * Model.rescale(M) +
+             N(CountedOp::RotateHop) * Model.rotate(M);
+    if (Hoisted)
+      Total += N(CountedOp::HoistBatch) * Model.rotateHoistShared(M) +
+               N(CountedOp::HoistAmount) * Model.rotateHoistPerAmount(M);
+    else
+      Total += N(CountedOp::HoistAmount) * Model.rotate(M);
+  }
+  return Total;
+}
+
 NoiseModel NoiseModel::create(SchemeKind Scheme, int LogN,
                               const std::vector<uint64_t> &ChainPrimes,
                               const std::vector<uint64_t> &SpecialPrimes,

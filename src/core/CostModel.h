@@ -18,8 +18,11 @@
 #ifndef CHET_CORE_COSTMODEL_H
 #define CHET_CORE_COSTMODEL_H
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 namespace chet {
@@ -68,6 +71,55 @@ private:
   double LogN = 0;
   double LogQP = 0;
 };
+
+/// The instructions the analysis interpretation counts (core/Analysis.h),
+/// in the units estimateCost prices.
+enum class CountedOp {
+  Encode,
+  Encrypt, ///< Client-side; counted, not priced.
+  Add,
+  AddPlain,
+  AddScalar,
+  Mul,
+  MulPlain,
+  MulScalar,
+  Rescale,   ///< At the modulus the rescale starts from.
+  Rotate,    ///< A standalone rotation (rotLeftAssign).
+  RotateHop, ///< One key switch of a standalone rotation: one per
+             ///< rotation with a dedicated key, one per power-of-two
+             ///< hop without.
+  HoistBatch,  ///< A hoisted rotLeftMany batch with a non-zero amount.
+  HoistAmount, ///< One non-zero amount of a hoisted batch.
+  NumOps
+};
+
+/// Executed-instruction counts by consumed modulus: Rows[L][Op] counts Op
+/// on ciphertexts that had consumed L units of modulus -- candidate
+/// primes for RNS-CKKS, bits for big-CKKS (sparse: a big-CKKS chain
+/// touches a few dozen of its hundreds of bit levels). Instructions
+/// without a ciphertext operand (encode, encrypt) count at L = 0.
+struct LevelOpCounts {
+  using Row = std::array<uint64_t, static_cast<size_t>(CountedOp::NumOps)>;
+  std::map<int, Row> Rows;
+
+  void add(int Level, CountedOp Op, uint64_t N = 1) {
+    Rows[Level][static_cast<size_t>(Op)] += N;
+  }
+  uint64_t total(CountedOp Op) const {
+    uint64_t Sum = 0;
+    for (const auto &[Level, R] : Rows)
+      Sum += R[static_cast<size_t>(Op)];
+    return Sum;
+  }
+};
+
+/// Prices \p Counts with \p Model on a chain sized at \p TopModulus:
+/// the total chain primes for RNS-CKKS, log Q for big-CKKS. A row L
+/// runs at TopModulus - L (at least one prime, or 30 bits). With
+/// \p Hoisted false every hoisted amount is priced as a standalone
+/// rotation, modelling a runtime with hoisting disabled.
+double estimateCost(const LevelOpCounts &Counts, const CostModel &Model,
+                    double TopModulus, bool Hoisted = true);
 
 /// Worst-case CKKS noise constants for the static range/noise analysis
 /// (hisa/AuditBackend.h, core/NoiseAnalysis.h).

@@ -78,24 +78,21 @@ inline std::vector<bool> computeMaskNeeds(const TensorCircuit &Circ,
                                           LayoutPolicy Policy) {
   const auto &Ops = Circ.ops();
   std::vector<bool> Needs(Ops.size(), false);
+  // Consumers follow their operands (ops are topologically ordered), so
+  // walking backwards finishes each node before it pushes to its inputs.
   for (int Id = static_cast<int>(Ops.size()) - 1; Id >= 0; --Id) {
     const OpNode &Node = Ops[Id];
-    bool ConsumerNeeds = false;
-    for (int Cons : Circ.consumersOf(Id)) {
-      const OpNode &C = Ops[Cons];
-      if (C.Kind == OpKind::Conv2d && C.Pad > 0)
-        ConsumerNeeds = true;
-      bool Transparent = C.Kind == OpKind::ConcatChannels ||
-                         C.Kind == OpKind::PolyActivation ||
-                         C.Kind == OpKind::Output;
-      if (Transparent && Needs[Cons])
-        ConsumerNeeds = true;
-    }
     // Under ConvHW every convolution output is converted HW -> CHW, which
     // sums channel blocks and therefore requires zero slack.
     if (Policy == LayoutPolicy::ConvHW && Node.Kind == OpKind::Conv2d)
-      ConsumerNeeds = true;
-    Needs[Id] = ConsumerNeeds;
+      Needs[Id] = true;
+    bool Transparent = Node.Kind == OpKind::ConcatChannels ||
+                       Node.Kind == OpKind::PolyActivation ||
+                       Node.Kind == OpKind::Output;
+    if ((Node.Kind == OpKind::Conv2d && Node.Pad > 0) ||
+        (Transparent && Needs[Id]))
+      for (int In : Node.Inputs)
+        Needs[In] = true;
   }
   return Needs;
 }

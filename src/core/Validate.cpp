@@ -100,15 +100,8 @@ std::vector<int> chet::missingRotationSteps(const std::set<int> &Required,
 
 std::vector<uint64_t>
 chet::detail::candidateChain(const CompilerOptions &Options) {
-  // The narrow-chain policy caps scale primes at the packed-NTT word
-  // bound; the scalePrimeBits floor of 29 keeps the cap inside the
-  // [29, 30] range where the q = 1 mod 2^17 class still holds enough
-  // primes.
-  int ScaleBits = scalePrimeBits(Options.Scales);
-  if (Options.Scheme == SchemeKind::RnsCkks &&
-      narrowChainRequested(Options.ChainWidth))
-    ScaleBits = std::min(ScaleBits, kNarrowPrimeBits);
-  return RnsCkksParams::candidateChain(65, Options.FirstPrimeBits, ScaleBits);
+  return RnsCkksParams::candidateChain(65, Options.FirstPrimeBits,
+                                       scalePrimeBits(Options.Scales));
 }
 
 std::vector<LayoutPolicy>
@@ -123,6 +116,8 @@ chet::detail::sizePolicy(const TensorCircuit &Circ,
                          const CompilerOptions &Options, LayoutPolicy Policy,
                          const std::vector<uint64_t> &ScaleCandidates) {
   PolicySizing Sizing;
+  PolicyAnalysis &Info = Sizing.Info;
+  Info.Policy = Policy;
   auto Fail = [&](ErrorCode Code, std::string Message) {
     Sizing.Violation = CircuitDiagnostic{Code, Policy, "", std::move(Message)};
     return Sizing;
@@ -131,7 +126,7 @@ chet::detail::sizePolicy(const TensorCircuit &Circ,
   // Hard ring-dimension ceiling: the encoder tops out at LogN = 17 and
   // the security table at LogN = 16; MaxLogN may be tighter still.
   int LogNCeil = std::min(Options.MaxLogN, 16);
-  int &LogN = Sizing.LogN;
+  int &LogN = Info.LogN;
   LogN = minLogNForData(Circ);
   if (LogN > LogNCeil)
     return Fail(ErrorCode::LayoutMismatch,
@@ -147,6 +142,7 @@ chet::detail::sizePolicy(const TensorCircuit &Circ,
     C1.Scheme = Options.Scheme;
     C1.LogN = LogN;
     C1.ScalePrimeCandidates = ScaleCandidates;
+    C1.SelectedRotationKeys = Options.SelectRotationKeys;
     AnalysisBackend B1(C1);
     double Need = 0;
     try {
@@ -161,6 +157,7 @@ chet::detail::sizePolicy(const TensorCircuit &Circ,
     }
 
     double LogQ = 0, LogQP = 0;
+    int ChainPrimes = 0;
     if (Options.Scheme == SchemeKind::RnsCkks) {
       int Consumed = Sizing.ConsumedPrimes = B1.maxConsumedPrimes();
       double ConsumedBits = 0;
@@ -185,7 +182,7 @@ chet::detail::sizePolicy(const TensorCircuit &Circ,
       }
       LogQ = ConsumedBits + Reserve;
       LogQP = LogQ + Options.FirstPrimeBits;
-      Sizing.ChainPrimes = 1 + Consumed + Extra;
+      ChainPrimes = 1 + Consumed + Extra;
     } else {
       LogQ = std::ceil(B1.maxLogConsumed() + Need);
       LogQP = 2 * LogQ; // LogSpecial = LogQ, HEAAN style
@@ -194,8 +191,8 @@ chet::detail::sizePolicy(const TensorCircuit &Circ,
     int SecLogN = minLogNForLogQ(static_cast<int>(std::ceil(LogQP)),
                                  Options.Security);
     if (SecLogN == -1 || std::max(LogN, SecLogN) > LogNCeil) {
-      Sizing.LogQ = LogQ;
-      Sizing.LogQP = LogQP;
+      Info.LogQ = LogQ;
+      Info.LogQP = LogQP;
       return Fail(
           ErrorCode::SecurityBudgetExceeded,
           formatError(
@@ -208,8 +205,11 @@ chet::detail::sizePolicy(const TensorCircuit &Circ,
     }
     int NewLogN = std::max(LogN, SecLogN);
     if (NewLogN == LogN) {
-      Sizing.LogQ = LogQ;
-      Sizing.LogQP = LogQP;
+      Info.LogQ = LogQ;
+      Info.LogQP = LogQP;
+      Info.ChainPrimes = ChainPrimes;
+      Info.Counts = B1.takeCounts();
+      Info.RotationSteps = B1.takeRotationSteps();
       return Sizing; // feasible: fixpoint reached with no violations
     }
     LogN = NewLogN; // slot-dependent choices change; re-analyze

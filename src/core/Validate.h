@@ -91,23 +91,24 @@ std::vector<uint64_t> candidateChain(const CompilerOptions &Options);
 /// The layout policies a compile with \p Options considers.
 std::vector<LayoutPolicy> candidatePolicies(const CompilerOptions &Options);
 
-/// Outcome of the compiler's phase 1 for one layout policy: a sizing, or
-/// the one violation that makes the policy infeasible (the sizing fields
-/// then describe how far the fixpoint got).
+/// Outcome of the compiler's analysis of one layout policy: a sizing, or
+/// the one violation that makes the policy infeasible. Info is filled but
+/// for EstimatedCost; on a violation its LogN, LogQ and LogQP describe how
+/// far the fixpoint got and ChainPrimes, RotationSteps and Counts stay
+/// empty.
 struct PolicySizing {
-  int LogN = 0;
-  double LogQ = 0;
-  double LogQP = 0;
-  int ChainPrimes = 0;    ///< RNS: base + reserve + consumed primes.
+  PolicyAnalysis Info;
   int ConsumedPrimes = 0; ///< RNS: candidates the rescale chain consumes.
   int ExtraPrimes = 0;    ///< RNS: reserve primes for output headroom.
   std::optional<CircuitDiagnostic> Violation;
 };
 
-/// Phase 1 (Section 5.2): the modulus analysis for one layout policy,
-/// iterating the ring dimension to a fixpoint between data fit, modulus
-/// consumption, and the security table (the interdependence discussed
-/// in Section 3.1). compileCircuit and validateCircuit both run it.
+/// The analysis of one layout policy (Section 5.2): iterates the ring
+/// dimension to a fixpoint between data fit, modulus consumption, and the
+/// security table (the interdependence discussed in Section 3.1). The
+/// last iteration's counts and rotation steps are the ones compileCircuit
+/// prices and selects keys from. compileCircuit and validateCircuit both
+/// run it.
 PolicySizing sizePolicy(const TensorCircuit &Circ,
                         const CompilerOptions &Options, LayoutPolicy Policy,
                         const std::vector<uint64_t> &ScaleCandidates);

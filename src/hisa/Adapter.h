@@ -79,15 +79,6 @@ First &firstOperand(First &F, Rest &...) {
   return F;
 }
 
-/// Optional HISA extension of integrity-checking backends: verifyCt(c)
-/// throws DataCorruptionError when c's payload no longer matches its
-/// checksum.
-template <typename B>
-concept BackendHasVerifyCt =
-    requires(const B &Backend, const typename B::Ct &C) {
-      Backend.verifyCt(C);
-    };
-
 /// What HisaAdapter guarantees of an adapter A over B: A is a HISA
 /// backend and a provenance sink, and has rotLeftMany exactly when B has.
 template <typename A, typename B>

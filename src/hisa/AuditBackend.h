@@ -61,6 +61,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -187,7 +188,7 @@ public:
         FreshNoise(Config.Noise.freshNoise()),
         RescaleNoise(Config.Noise.rescaleNoise()),
         KeySwitchNoise(Config.Noise.keySwitchNoise()), KeyFor(Slots, false),
-        Env(&envFor(-1)) {
+        KeyLevel(Slots, kNoKeyLevel), Env(&envFor(-1)) {
     Stats.push_back({-1, "input packing"});
     for (int S : Config.AvailableRotationSteps)
       if (S >= 0 && static_cast<size_t>(S) < Slots)
@@ -420,10 +421,15 @@ public:
   const std::vector<AuditEvent> &events() const { return Events; }
   const std::vector<AuditNodeStats> &nodeStats() const { return Stats; }
 
-  /// Per normalized step whose Galois key some rotation switched: the
-  /// highest level it was switched at, in the real backend's unit (RNS
-  /// Ct::Level, big-CKKS Ct::LogQ).
-  const std::map<int, int> &keyLevels() const { return KeyLevels; }
+  /// The highest level a rotation switched the Galois key of normalized
+  /// step \p Step at, in the real backend's unit (RNS Ct::Level, big-CKKS
+  /// Ct::LogQ); nullopt when no rotation switched it.
+  std::optional<int> keyLevel(int Step) const {
+    if (Step < 0 || static_cast<size_t>(Step) >= Slots ||
+        KeyLevel[static_cast<size_t>(Step)] == kNoKeyLevel)
+      return std::nullopt;
+    return KeyLevel[static_cast<size_t>(Step)];
+  }
 
 private:
   /// One executed rotation, for the redundant-rotation audit: Uses counts
@@ -440,10 +446,12 @@ private:
   enum OpClass { kLight, kMulPlain, kKeySwitch, kEncode, kEncrypt };
   /// Worst-case concurrent kernel lanes modeled: each holds its own
   /// pooled scratch.
-  static constexpr double kLanes = 8;
-  /// Absorbs pool-bucket rounding (powers of two) and minor allocations
-  /// the per-class model does not itemize.
-  static constexpr double kScratchSafety = 1.5;
+  static constexpr uint64_t kLanes = 8;
+  /// Safety factor 3/2: absorbs pool-bucket rounding (powers of two) and
+  /// minor allocations the per-class model does not itemize.
+  static constexpr uint64_t kScratchSafetyNum = 3, kScratchSafetyDen = 2;
+  /// KeyLevel entry of a step no rotation switched.
+  static constexpr int kNoKeyLevel = std::numeric_limits<int>::min();
 
   const RangeEnvelope &envFor(int Node) const {
     static const RangeEnvelope Unbounded;
@@ -476,8 +484,8 @@ private:
 
   /// Notes that the Galois key of step \p S switches \p C.
   void keySwitchedAt(int S, const Ct &C) {
-    auto [It, New] = KeyLevels.try_emplace(S, backendLevel(C));
-    It->second = std::max(It->second, backendLevel(C));
+    int &Level = KeyLevel[static_cast<size_t>(S)];
+    Level = std::max(Level, backendLevel(C));
   }
 
   /// Key switches the real backends spend on a rotation of \p C by
@@ -674,10 +682,9 @@ private:
   /// Folds one instruction into the current node's footprint peaks.
   void noteOp(uint64_t ScratchWords, uint64_t TransientBytes) {
     AuditNodeStats &S = Stats.back();
-    double Scaled = static_cast<double>(ScratchWords) * sizeof(uint64_t) *
-                    kLanes * kScratchSafety;
-    S.ScratchPeakBytes =
-        std::max(S.ScratchPeakBytes, static_cast<uint64_t>(Scaled));
+    uint64_t Scaled = ScratchWords * sizeof(uint64_t) * kLanes *
+                      kScratchSafetyNum / kScratchSafetyDen;
+    S.ScratchPeakBytes = std::max(S.ScratchPeakBytes, Scaled);
     S.TransientPeakBytes = std::max(S.TransientPeakBytes, TransientBytes);
   }
 
@@ -688,13 +695,15 @@ private:
   double EncodeQuant, FreshNoise, RescaleNoise, KeySwitchNoise;
   /// KeyFor[S]: a Galois key serves the normalized step S directly.
   std::vector<bool> KeyFor;
+  /// KeyLevel[S]: see keyLevel(); kNoKeyLevel until a rotation switches
+  /// the key of step S.
+  std::vector<int> KeyLevel;
   int CurrentNode = -1;
   const RangeEnvelope *Env;
   std::vector<AuditNodeStats> Stats;
   std::vector<AuditEvent> Events;
   std::map<std::tuple<int, int, const char *>, size_t> EventIndex;
   std::vector<RotationEvent> RotEvents;
-  std::map<int, int> KeyLevels;
 };
 
 /// The audit's abstract domain ignores slot contents; skipping the

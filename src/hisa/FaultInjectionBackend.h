@@ -139,7 +139,6 @@ public:
   /// (the serving layer uses "tenant:<id>"), so a multi-tenant chaos run
   /// can attribute each fault to the tenant whose request it hit.
   void setFaultScope(std::string ScopeIn) { CurScope = std::move(ScopeIn); }
-  const std::string &faultScope() const { return CurScope; }
 
 private:
   /// Provenance hook: the evaluator tells us which tensor-circuit node

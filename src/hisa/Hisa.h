@@ -109,6 +109,15 @@ concept BackendHasRotLeftMany =
           std::same_as<std::vector<typename B::Ct>>;
     };
 
+/// Optional HISA extension of integrity-checking backends: verifyCt(c)
+/// throws DataCorruptionError when c's payload no longer matches its
+/// checksum.
+template <typename B>
+concept BackendHasVerifyCt =
+    requires(const B &Backend, const typename B::Ct &C) {
+      Backend.verifyCt(C);
+    };
+
 /// Whether a backend's Pt representation depends only on the encoding
 /// scale, never on the slot contents. True of the abstract interpreters
 /// (analysis, verification), whose encode() ignores the value vector;

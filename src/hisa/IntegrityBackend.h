@@ -27,8 +27,8 @@
 /// The adapter is a HisaAdapter (hisa/Adapter.h): its ciphertext-mapping
 /// hook unwraps the checksummed ciphertext and its op hook verifies and
 /// seals. Like the other diagnostic adapters, it keeps sequential kernel
-/// order (BackendSupportsParallelKernels stays false): its counters and
-/// provenance cursor are not synchronized.
+/// order (BackendSupportsParallelKernels stays false): its provenance
+/// cursor is not synchronized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,13 +116,6 @@ template <typename InnerCt> struct IntegrityCt {
   uint64_t Sum = 0;
 };
 
-/// Counters of the verification work performed.
-struct IntegrityStats {
-  long Seals = 0;
-  long Verifications = 0;
-  long Failures = 0;
-};
-
 /// HISA adapter checksumming every ciphertext. See file comment.
 template <HisaBackend B>
 class IntegrityBackend
@@ -135,8 +128,6 @@ public:
   using typename Base::Ct;
 
   explicit IntegrityBackend(B &InnerIn) : Base(InnerIn) {}
-
-  const IntegrityStats &stats() const { return Stats; }
 
   /// Unconditionally verifies \p C's checksum; throws DataCorruptionError
   /// on mismatch. The session layer calls this before checkpointing a
@@ -185,10 +176,7 @@ private:
     }
   }
 
-  void reseal(Ct &C) {
-    ++Stats.Seals;
-    C.Sum = limbChecksum(C.Inner);
-  }
+  void reseal(Ct &C) { C.Sum = limbChecksum(C.Inner); }
   void reseal(std::vector<Ct> &Cts) {
     for (Ct &C : Cts)
       reseal(C);
@@ -197,16 +185,13 @@ private:
   /// Verifies a ciphertext operand; other operands need no check.
   template <typename T> void verify(const T &, const char *) const {}
   void verify(const Ct &C, const char *Op) const {
-    ++Stats.Verifications;
     if (limbChecksum(C.Inner) == C.Sum)
       return;
-    ++Stats.Failures;
     throw DataCorruptionError(formatError(
         "ciphertext checksum mismatch read by ", Op, " (node ", CurNode,
         " '", CurLabel, "'): payload corrupted after production"));
   }
 
-  mutable IntegrityStats Stats;
   int CurNode = -1;
   std::string CurLabel;
 };

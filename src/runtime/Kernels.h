@@ -139,6 +139,8 @@ public:
               const std::vector<int> &Steps)
       : Src(&Src) {
     std::vector<int> NonZero;
+    NonZero.reserve(Steps.size());
+    Index.reserve(Steps.size());
     for (int Step : Steps) {
       bool Zero = normalizeRotation(Step, Backend.slotCount()) == 0;
       Index.push_back(Zero ? -1 : int(NonZero.size()));
@@ -215,6 +217,16 @@ CipherTensor<B> encryptTensor(B &Backend, const Tensor3 &T,
              " slots, backend has ", Backend.slotCount());
   CipherTensor<B> Out;
   Out.L = L;
+  if constexpr (BackendEncodeIsValueAgnostic<B>) {
+    // Slot contents are never inspected: only the shape check of
+    // packTensor applies.
+    CHET_CHECK(T.C == L.C && T.H == L.H && T.W == L.W, LayoutMismatch,
+               "tensor/layout shape mismatch: tensor ", T.C, " x ", T.H,
+               " x ", T.W, " vs layout ", L.C, " x ", L.H, " x ", L.W);
+    for (int I = 0; I < L.ctCount(); ++I)
+      Out.Cts.push_back(Backend.encrypt(Backend.encode({}, S.Image)));
+    return Out;
+  }
   for (auto &Slots : packTensor(T, L))
     Out.Cts.push_back(Backend.encrypt(Backend.encode(Slots, S.Image)));
   return Out;
@@ -287,12 +299,12 @@ CipherTensor<B> conv2dHW(B &Backend, const CipherTensor<B> &In,
   // Rotation of every tap some filter uses: an unmasked output is a sum of
   // the input rotated by these.
   std::vector<int> TapSteps;
-  for (int Dy = 0; Dy < Wt.Kh; ++Dy)
+  for (int Dy = 0; Dy < Wt.Kh && !MaskOutput; ++Dy)
     for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
       bool AnyWeight = false;
-      for (int Co = 0; Co < Wt.Cout; ++Co)
-        for (int Ci = 0; Ci < Wt.Cin; ++Ci)
-          AnyWeight |= Wt.at(Co, Ci, Dy, Dx) != 0.0;
+      for (int Co = 0; Co < Wt.Cout && !AnyWeight; ++Co)
+        for (int Ci = 0; Ci < Wt.Cin && !AnyWeight; ++Ci)
+          AnyWeight = Wt.at(Co, Ci, Dy, Dx) != 0.0;
       if (AnyWeight)
         TapSteps.push_back(In.L.rotationFor(Dy - Pad, Dx - Pad));
     }
@@ -303,17 +315,21 @@ CipherTensor<B> conv2dHW(B &Backend, const CipherTensor<B> &In,
   // Per input channel: one rotLeftMany hoists the taps some filter uses,
   // then every output channel folds that channel's terms in tap order.
   std::vector<std::optional<typename B::Ct>> Acc(Wt.Cout);
+  struct Tap {
+    int Dy, Dx;
+  };
+  std::vector<Tap> Taps;
+  std::vector<int> Steps;
+  Taps.reserve(size_t(Wt.Kh) * Wt.Kw);
+  Steps.reserve(size_t(Wt.Kh) * Wt.Kw);
   for (int Ci = 0; Ci < Wt.Cin; ++Ci) {
-    struct Tap {
-      int Dy, Dx;
-    };
-    std::vector<Tap> Taps;
-    std::vector<int> Steps;
+    Taps.clear();
+    Steps.clear();
     for (int Dy = 0; Dy < Wt.Kh; ++Dy)
       for (int Dx = 0; Dx < Wt.Kw; ++Dx) {
         bool AnyWeight = false;
-        for (int Co = 0; Co < Wt.Cout; ++Co)
-          AnyWeight |= Wt.at(Co, Ci, Dy, Dx) != 0.0;
+        for (int Co = 0; Co < Wt.Cout && !AnyWeight; ++Co)
+          AnyWeight = Wt.at(Co, Ci, Dy, Dx) != 0.0;
         if (!AnyWeight)
           continue;
         Taps.push_back({Dy, Dx});

@@ -189,10 +189,15 @@ template <typename FnT> void forEachBit(const Bits &B, FnT Fn) {
 
 Bits validBits(const TensorLayout &L) {
   Bits B = emptyBits(L.Slots);
-  for (int C = 0; C < L.C; ++C)
-    for (int Y = 0; Y < L.H; ++Y)
+  // Channels C and C + ChPerCt share their slots (in different
+  // ciphertexts): one residue class of channels covers every position.
+  for (int C = 0; C < std::min(L.C, L.ChPerCt); ++C)
+    for (int Y = 0; Y < L.H; ++Y) {
+      // slotOf(C, Y, X) = slotOf(C, Y, 0) + X * SX.
+      size_t Row = static_cast<size_t>(L.slotOf(C, Y, 0));
       for (int X = 0; X < L.W; ++X)
-        setBit(B, static_cast<size_t>(L.slotOf(C, Y, X)));
+        setBit(B, Row + static_cast<size_t>(X) * L.SX);
+    }
   return B;
 }
 
@@ -208,14 +213,15 @@ int log2Exact(size_t V) {
 /// whole words.
 void orRotated(Bits &Out, const Bits &In, long K, size_t Slots) {
   long N = static_cast<long>(Slots);
-  K = (K % N + N) % N;
   if (Slots < 64) {
+    K = (K % N + N) % N;
     forEachBit(In, [&](size_t S) {
       setBit(Out, static_cast<size_t>((long(S) - K + N) % N));
     });
     return;
   }
   // Word J of In lands in words J - W (low part) and J - W - 1.
+  K &= N - 1; // K mod N
   size_t Mask = In.size() - 1, W = size_t(K) / 64, B = size_t(K) % 64;
   for (size_t J = 0; J <= Mask; ++J) {
     if (!In[J])

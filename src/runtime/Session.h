@@ -227,16 +227,10 @@ struct CheckpointPolicy {
   static CheckpointPolicy everyN(int N) { return {Mode::EveryN, N, 0}; }
 };
 
-/// Per-fault-class recovery budgets. Backoff for attempt k sleeps
-/// min(Base * Factor^(k-1), Max) * (0.5 + 0.5 * jitter), with jitter
-/// drawn from a Prng seeded by JitterSeed -- deterministic, so chaos runs
-/// replay exactly.
-struct SessionRetryPolicy {
-  int MaxAttempts = 3; ///< Per-node attempts for transient faults (>= 1).
-  double BackoffBaseSeconds = 0.0005;
-  double BackoffFactor = 2.0;
-  double BackoffMaxSeconds = 0.05;
-  uint64_t JitterSeed = 0x5e551077;
+/// Per-fault-class recovery budgets: RetryPolicy's per-node budget and
+/// deterministic jittered backoff for transient faults (MaxAttempts
+/// counts attempts per node), plus a rollback budget for the run.
+struct SessionRetryPolicy : RetryPolicy {
   /// Rollback budget for crashes / detected corruption across the whole
   /// run (each rollback restores a checkpoint or restarts from the
   /// input).
@@ -318,9 +312,6 @@ concept SessionCheckpointable =
 /// bound to one backend + circuit; run() may be called repeatedly (each
 /// call resets the report).
 template <HisaBackend B> class InferenceSession {
-  static constexpr bool CanVerify =
-      requires(const B &Bk, const typename B::Ct &C) { Bk.verifyCt(C); };
-
 public:
   InferenceSession(B &BackendIn, const TensorCircuit &CircIn,
                    SessionConfig CfgIn = {})
@@ -344,7 +335,7 @@ public:
                    "checkpointing or add serialize/deserializeOrThrow "
                    "overloads");
     }
-    if constexpr (!CanVerify)
+    if constexpr (!BackendHasVerifyCt<B>)
       CHET_CHECK(Cfg.IntegrityCheckEveryNodes == 0, InvalidArgument,
                  "IntegrityCheckEveryNodes set but the backend has no "
                  "verifyCt; wrap it in IntegrityBackend");
@@ -532,10 +523,7 @@ private:
 
   void backoff(int Attempt, Prng &Jitter) {
     Timer T;
-    detail::retryBackoff({Cfg.Retry.MaxAttempts, Cfg.Retry.BackoffBaseSeconds,
-                          Cfg.Retry.BackoffFactor,
-                          Cfg.Retry.BackoffMaxSeconds, Cfg.Retry.JitterSeed},
-                         Attempt, Jitter);
+    detail::retryBackoff(Cfg.Retry, Attempt, Jitter);
     Report.BackoffSeconds += T.seconds();
   }
 
@@ -564,7 +552,7 @@ private:
                       const std::vector<std::optional<CipherTensor<B>>> &Vals) {
     if (Cfg.IntegrityCheckEveryNodes <= 0)
       return;
-    if constexpr (CanVerify) {
+    if constexpr (BackendHasVerifyCt<B>) {
       if ((K + 1) % Cfg.IntegrityCheckEveryNodes != 0)
         return;
       Timer T;
@@ -599,7 +587,7 @@ private:
       try {
         // Verify everything about to be persisted: a checkpoint that
         // captured a corrupted value would make rollback unsound.
-        if constexpr (CanVerify) {
+        if constexpr (BackendHasVerifyCt<B>) {
           Timer TV;
           forEachLive(K, Vals, [&](int, const CipherTensor<B> &V) {
             for (const auto &C : V.Cts)

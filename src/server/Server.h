@@ -396,16 +396,13 @@ struct TenantOptions {
 //===----------------------------------------------------------------------===//
 
 template <HisaBackend B> class InferenceServer {
-  static constexpr bool CanVerify =
-      requires(const B &Bk, const typename B::Ct &C) { Bk.verifyCt(C); };
-
 public:
   explicit InferenceServer(ServerConfig CfgIn = {}) : Cfg(std::move(CfgIn)) {
     CHET_CHECK(Cfg.Lanes >= 1, InvalidArgument,
                "InferenceServer needs at least one lane, got ", Cfg.Lanes);
     CHET_CHECK(Cfg.QueueHighWater >= 1, InvalidArgument,
                "QueueHighWater must be >= 1, got ", Cfg.QueueHighWater);
-    if constexpr (!CanVerify)
+    if constexpr (!BackendHasVerifyCt<B>)
       Cfg.IntegrityCheckEveryNodes = 0;
     if (Cfg.MemoryBudgetBytes > 0)
       MemoryGovernor::instance().setBudgetBytes(Cfg.MemoryBudgetBytes);

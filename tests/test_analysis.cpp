@@ -99,11 +99,8 @@ TEST(Analysis, RotationStepsAreCollectedNormalized) {
 }
 
 TEST(Analysis, HoistedFanOutCollectsAmountsOnceAndPricesShared) {
-  AnalysisConfig Cfg = rnsConfig(12);
   CostModel Model = CostModel::create(SchemeKind::RnsCkks, 12);
-  Cfg.Cost = &Model;
-  Cfg.TotalChainPrimes = 5;
-  AnalysisBackend B(Cfg);
+  AnalysisBackend B(rnsConfig(12));
   auto C = B.encrypt(B.encode({}, 1024.0));
   // Repeated, negative-equivalent, and no-op amounts: the rotation-key
   // set collects each normalized amount exactly once.
@@ -112,44 +109,63 @@ TEST(Analysis, HoistedFanOutCollectsAmountsOnceAndPricesShared) {
   std::set<int> Expected = {5, 2048 - 3, 7};
   EXPECT_EQ(B.rotationSteps(), Expected);
   // Pricing: one shared decomposition plus a marginal term per nonzero
-  // amount -- strictly cheaper than the four naive rotations.
-  double Hoisted = B.totalCost();
-  AnalysisBackend Naive(Cfg);
+  // amount -- strictly cheaper than the four naive rotations, which is
+  // what the batch costs priced without hoisting.
+  double Hoisted = estimateCost(B.counts(), Model, 5);
+  AnalysisBackend Naive(rnsConfig(12));
   auto C2 = Naive.encrypt(Naive.encode({}, 1024.0));
   for (int S : {5, 5, 2048 - 3, 2048 + 7})
     Naive.rotLeftAssign(C2, S);
+  double NaiveCost = estimateCost(Naive.counts(), Model, 5);
   EXPECT_GT(Hoisted, 0.0);
-  EXPECT_LT(Hoisted, Naive.totalCost());
+  EXPECT_LT(Hoisted, NaiveCost);
+  EXPECT_DOUBLE_EQ(estimateCost(B.counts(), Model, 5, /*Hoisted=*/false),
+                   NaiveCost);
   EXPECT_EQ(B.opCounts().at("rotateHoistShared"), 1u);
   EXPECT_EQ(B.opCounts().at("rotate"), 4u);
 }
 
-TEST(Analysis, CostAccumulatesOnlyWithModel) {
-  AnalysisConfig Cfg = rnsConfig();
-  AnalysisBackend NoCost(Cfg);
-  auto C = NoCost.encrypt(NoCost.encode({}, 1024.0));
-  NoCost.rotLeftAssign(C, 3);
-  EXPECT_EQ(NoCost.totalCost(), 0.0);
-
+TEST(Analysis, CountsAreKeyedByConsumedModulus) {
+  // Each count is priced at the modulus its ciphertext had left: a
+  // rotation before a rescale runs on five primes, one after on four.
   CostModel Model = CostModel::create(SchemeKind::RnsCkks, 12);
-  Cfg.Cost = &Model;
-  Cfg.TotalChainPrimes = 5;
-  AnalysisBackend WithCost(Cfg);
-  auto C2 = WithCost.encrypt(WithCost.encode({}, 1024.0));
-  WithCost.rotLeftAssign(C2, 3);
-  EXPECT_GT(WithCost.totalCost(), 0.0);
+  AnalysisBackend B(rnsConfig(12));
+  auto C = B.encrypt(B.encode({}, std::ldexp(1.0, 30)));
+  B.rotLeftAssign(C, 3);
+  B.mulScalarAssign(C, 1.0, uint64_t(1) << 30);
+  B.rescaleAssign(C, B.maxRescale(C, uint64_t(1) << 31));
+  B.rotLeftAssign(C, 3);
+  const LevelOpCounts &Counts = B.counts();
+  ASSERT_EQ(Counts.Rows.size(), 2u);
+  auto At = [&](int L, CountedOp Op) {
+    return Counts.Rows.at(L)[static_cast<size_t>(Op)];
+  };
+  EXPECT_EQ(At(0, CountedOp::Rotate), 1u);
+  EXPECT_EQ(At(0, CountedOp::Rescale), 1u);
+  EXPECT_EQ(At(1, CountedOp::Rotate), 1u);
+  EXPECT_EQ(At(1, CountedOp::Rescale), 0u);
+  EXPECT_NEAR(estimateCost(Counts, Model, 5),
+              Model.encode() + Model.rotate(5) + Model.mulScalar(5) +
+                  Model.rescale(5) + Model.rotate(4),
+              1e-6);
+  // Past the sized chain the price floors at one prime.
+  EXPECT_NEAR(estimateCost(Counts, Model, 1),
+              Model.encode() + 2 * Model.rotate(1) + Model.mulScalar(1) +
+                  Model.rescale(1),
+              1e-6);
 }
 
 TEST(Analysis, Pow2FallbackCostsMoreHops) {
   CostModel Model = CostModel::create(SchemeKind::RnsCkks, 12);
   AnalysisConfig Cfg = rnsConfig();
-  Cfg.Cost = &Model;
-  Cfg.TotalChainPrimes = 5;
+  auto Cost = [&](const AnalysisBackend &B) {
+    return estimateCost(B.counts(), Model, 5);
+  };
 
   // Baseline: the cost of encode + encrypt alone.
   AnalysisBackend EncodeOnly(Cfg);
   (void)EncodeOnly.encrypt(EncodeOnly.encode({}, 1024.0));
-  double EncodeCost = EncodeOnly.totalCost();
+  double EncodeCost = Cost(EncodeOnly);
 
   Cfg.SelectedRotationKeys = true;
   AnalysisBackend Selected(Cfg);
@@ -161,8 +177,9 @@ TEST(Analysis, Pow2FallbackCostsMoreHops) {
   auto C2 = Fallback.encrypt(Fallback.encode({}, 1024.0));
   Fallback.rotLeftAssign(C2, 7);
 
-  EXPECT_NEAR(Fallback.totalCost() - EncodeCost,
-              3 * (Selected.totalCost() - EncodeCost), 1e-6);
+  EXPECT_NEAR(Cost(Fallback) - EncodeCost, 3 * (Cost(Selected) - EncodeCost),
+              1e-6);
+  EXPECT_EQ(Fallback.opCounts().at("rotateHops"), 2u);
   // Power-of-two steps cost the same either way.
   AnalysisBackend FallbackPow2(Cfg);
   Cfg.SelectedRotationKeys = true;
@@ -171,7 +188,7 @@ TEST(Analysis, Pow2FallbackCostsMoreHops) {
   SelectedPow2.rotLeftAssign(C3, 8);
   auto C4 = FallbackPow2.encrypt(FallbackPow2.encode({}, 1024.0));
   FallbackPow2.rotLeftAssign(C4, 8);
-  EXPECT_NEAR(SelectedPow2.totalCost(), FallbackPow2.totalCost(), 1e-6);
+  EXPECT_NEAR(Cost(SelectedPow2), Cost(FallbackPow2), 1e-6);
 }
 
 TEST(Analysis, CostModelMonotoneInModulusState) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 using namespace chet;
 
@@ -110,6 +111,67 @@ TEST(Compiler, FootprintPredictsTheBackendsKeyBytes) {
           << (Scheme == SchemeKind::RnsCkks ? "rns" : "big")
           << (Select ? ", selected keys" : ", stock keys");
     }
+}
+
+TEST(Compiler, EstimatedCostsMatchTheRecordedPrices) {
+  // Per-policy estimates for LeNet-5-small(1/2) at the bench scales,
+  // recorded when the cost was still accumulated op by op during a
+  // second analysis run; pricing the counts of the sizing run must
+  // reproduce them up to summation order. Naive is the same counts
+  // priced without hoisting (equal to the estimate under stock keys,
+  // where nothing is hoisted). Policy order: kAllLayoutPolicies.
+  struct Recorded {
+    SchemeKind Scheme;
+    bool SelectedKeys;
+    double Hoisted[4];
+    double Naive[4];
+  };
+  const Recorded Table[] = {
+      {SchemeKind::RnsCkks,
+       true,
+       {35264521830.401062, 42395880652.799599, 27656801484.800274,
+        10954440704.000113},
+       {48674760294.400223, 62041738444.798294, 43230514380.799835,
+        24364679167.999958}},
+      {SchemeKind::RnsCkks,
+       false,
+       {74657215283.195587, 85429675622.398178, 72540284518.397873,
+        50347134156.799568},
+       {74657215283.195587, 85429675622.398178, 72540284518.397873,
+        50347134156.799568}},
+      {SchemeKind::BigCkks,
+       true,
+       {37665355528.38813, 37131755087.258148, 56382382107.769005,
+        10597142460.890368},
+       {39189595407.908997, 39735926499.362312, 59864430714.6483,
+        12121382340.411213}},
+      {SchemeKind::BigCkks,
+       false,
+       {49200940229.857124, 48526380664.913048, 82208329797.424011,
+        22132727162.359138},
+       {49200940229.857124, 48526380664.913048, 82208329797.424011,
+        22132727162.359138}},
+  };
+  TensorCircuit Circ = makeLeNet5Small(2);
+  for (const Recorded &R : Table) {
+    CompilerOptions O = baseOptions(R.Scheme);
+    O.Scales = ScaleConfig::fromExponents(25, 25, 25, 12);
+    O.SelectRotationKeys = R.SelectedKeys;
+    CompiledCircuit C = compileCircuit(Circ, O);
+    ASSERT_EQ(C.PerPolicy.size(), 4u);
+    for (int P = 0; P < 4; ++P) {
+      const PolicyAnalysis &A = C.PerPolicy[P];
+      std::string What = std::string(schemeName(R.Scheme)) +
+                         (R.SelectedKeys ? " selected " : " stock ") +
+                         layoutPolicyName(A.Policy);
+      ASSERT_EQ(A.Policy, kAllLayoutPolicies[P]) << What;
+      EXPECT_NEAR(A.EstimatedCost, R.Hoisted[P], 1e-12 * R.Hoisted[P])
+          << What;
+      EXPECT_NEAR(policyCost(A, R.Scheme, /*Hoisted=*/false), R.Naive[P],
+                  1e-12 * R.Naive[P])
+          << What;
+    }
+  }
 }
 
 TEST(Compiler, RnsChainConsumesCandidatesInAnalysisOrder) {

@@ -551,9 +551,10 @@ TEST(Hoisting, AnalysisPricesTheScheduleThatRuns) {
                                                        AB.slotCount()),
                                     S),
                       S, Policy);
+      const std::map<std::string, uint64_t> Counts = AB.opCounts();
       auto Priced = [&](const char *Op) {
-        auto It = AB.opCounts().find(Op);
-        return It == AB.opCounts().end() ? uint64_t(0) : It->second;
+        auto It = Counts.find(Op);
+        return It == Counts.end() ? uint64_t(0) : It->second;
       };
       ASSERT_EQ(Priced("rotateHops"), 0u) << What;
 

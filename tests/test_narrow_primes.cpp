@@ -6,19 +6,17 @@
 ///
 /// \file
 /// The 28-32-bit prime-chain gate (DESIGN.md section 5i): compiling a zoo
-/// network under PrimeChainWidth::Narrow must produce a chain whose scale
-/// primes all sit inside the packed-NTT word bound, the encrypted output
-/// must stay within the static PrecisionBound the compiler recorded, and
-/// serialized outputs must be bit-identical at 1, 2, and 8 threads (the
-/// narrow kernels inherit the deterministic-threading contract). Also
-/// unit-tests the chain-width plumbing: the explicit toggle, the
-/// scale-prime cap, and the security-table chain-sizing helper.
+/// network at the bench scales 2^(25,25,25,12) must produce a chain whose
+/// scale primes all sit inside the packed-NTT word bound (the 29-bit
+/// floor of the candidate list), the encrypted output must stay within
+/// the static PrecisionBound the compiler recorded, and serialized
+/// outputs must be bit-identical at 1, 2, and 8 threads (the narrow
+/// kernels inherit the deterministic-threading contract).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
 
-#include "ckks/SecurityTable.h"
 #include "ckks/Serialization.h"
 #include "core/Evaluate.h"
 #include "nn/Networks.h"
@@ -37,10 +35,9 @@ CompilerOptions narrowOptions() {
   CompilerOptions Options;
   Options.Scheme = SchemeKind::RnsCkks;
   Options.Security = SecurityLevel::None;
-  Options.ChainWidth = PrimeChainWidth::Narrow;
-  // Library-default 2^40 scales: every rescale sheds 30-bit primes, so
-  // the oscillating scale drift of the narrow chain is exercised.
-  Options.Scales = ScaleConfig();
+  // The bench scales: 2^25 rounds up to the 29-bit candidate floor, so
+  // every scale prime of the default chain is narrow.
+  Options.Scales = ScaleConfig::fromExponents(25, 25, 25, 12);
   return Options;
 }
 
@@ -48,31 +45,6 @@ CompilerOptions narrowOptions() {
 struct PoolGuard {
   ~PoolGuard() { setGlobalThreadCount(0); }
 };
-
-TEST(NarrowPrimes, ExplicitWidthToggleResolves) {
-  EXPECT_TRUE(narrowChainRequested(PrimeChainWidth::Narrow));
-  EXPECT_FALSE(narrowChainRequested(PrimeChainWidth::Wide));
-}
-
-TEST(NarrowPrimes, SecurityTableChainSizing) {
-  // (881 - 60 - 60) bits of budget at LogN = 15 / 128-bit classical.
-  EXPECT_EQ(maxScalePrimesForBudget(15, SecurityLevel::Classical128, 60, 60,
-                                    40),
-            19);
-  EXPECT_EQ(maxScalePrimesForBudget(15, SecurityLevel::Classical128, 60, 60,
-                                    30),
-            25);
-  // Narrow never buys fewer chain entries than wide at any dimension.
-  for (int LogN = 10; LogN <= 16; ++LogN)
-    EXPECT_GE(maxScalePrimesForBudget(LogN, SecurityLevel::Classical128, 60,
-                                      60, 30),
-              maxScalePrimesForBudget(LogN, SecurityLevel::Classical128, 60,
-                                      60, 40));
-  // Base + special alone can overrun small dimensions.
-  EXPECT_EQ(maxScalePrimesForBudget(11, SecurityLevel::Classical128, 60, 60,
-                                    30),
-            0);
-}
 
 TEST(NarrowPrimes, LeNetChainScalePrimesAreNarrow) {
   TensorCircuit Circ = makeLeNet5Small(2);
@@ -93,9 +65,10 @@ TEST(NarrowPrimes, LeNetChainScalePrimesAreNarrow) {
     EXPECT_GE(P.ChainPrimes[I], uint64_t(1) << 28);
   }
 
-  // The wide policy with the same options keeps 40-bit scale primes.
+  // Scales above 2^30 get wide scale primes: the chain follows the
+  // scales, so the library-default 2^40 keeps 40-bit primes.
   CompilerOptions Wide = narrowOptions();
-  Wide.ChainWidth = PrimeChainWidth::Wide;
+  Wide.Scales = ScaleConfig();
   CompiledCircuit WideCompiled = compileCircuit(Circ, Wide);
   ASSERT_TRUE(WideCompiled.Rns.has_value());
   for (size_t I = 1; I < WideCompiled.Rns->ChainPrimes.size(); ++I)
